@@ -1,9 +1,9 @@
 """Command-line front end emitting deterministic CSV or JSON tables.
 
-Subcommands: bound-states, bessel-zero, spectrum, critical-radius,
-compare-approx, eval-bessel. Options can also come from a flat JSON config
-file (keys matching the long flag names); explicit flags win. Exit status is
-0 on success, 1 on a computational failure, 2 on a usage error.
+Options can also come from a flat JSON config file (keys matching the long
+flag names); explicit flags win. Exit status is 0 on success, 1 on a
+computational failure, 2 on a usage error. Flags, config keys, conversion,
+defaults, checks and the JSON echo all come from ``_COMMON`` and ``COMMANDS``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from enum import Enum, EnumMeta
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Optional
 
 from .model import EnergyLevel, PhysicalParams, QuantumNumbers, validate
@@ -29,338 +30,106 @@ from .spectrum import (
 )
 from .wells import excited_state, ground_state
 
-COMMANDS = (
-    "bound-states",
-    "bessel-zero",
-    "spectrum",
-    "critical-radius",
-    "compare-approx",
-    "eval-bessel",
+
+class OutputFormat(Enum):
+    CSV = "csv"
+    JSON = "json"
+
+
+class RunConfig(SimpleNamespace):
+    """A resolved invocation: ``command``, ``params`` and one attribute per option,
+    named after its flag (``--n-max`` is ``n_max``)."""
+
+    output_format = property(lambda self: self.output.value)
+    output_path = property(lambda self: self.out)
+
+
+def _opt(name, kind, default=None, *, required=False, check=None, help=None) -> tuple:
+    """kind: float, int, str or an Enum (its values are the choices); check: (test, message)."""
+    return name, kind, default, required, check, help
+
+
+_NONNEG_INT = (lambda v: v >= 0, "must be a non-negative integer")
+_NONNEG_FLOAT = (lambda v: 0 <= v < math.inf, "must be >= 0")  # NaN fails too
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+
+# Options of every subcommand. The physics values are checked together, by
+# validate(), once they form a PhysicalParams.
+_COMMON = (
+    _opt("mass", float, 0.5),
+    _opt("coupling", float, 1.0),
+    _opt("z0", float, 1.0),
+    _opt("deficit", float, 1.0),
+    _opt("radius", float, 5.0),
+    _opt("hbar", float, 1.0),
+    _opt("output", OutputFormat, "csv"),
+    _opt("out", str, help="output file (default: stdout)"),
 )
 
-_PARAM_KEYS = ("mass", "coupling", "z0", "deficit", "radius", "hbar")
-
-# Option keys accepted per command, used both for flag registration and for
-# rejecting unknown config-file keys.
-_COMMAND_KEYS = {
-    "bound-states": (),
-    "bessel-zero": ("nu", "m", "mode"),
-    "spectrum": ("n-max", "m-max", "mode", "ref-n", "ref-m"),
-    "critical-radius": ("n", "m", "level"),
-    "compare-approx": ("nu-max", "m-max", "nu-step"),
-    "eval-bessel": ("nu", "q"),
-}
-
-_OUTPUT_KEYS = ("output", "out")
-
-_DEFAULTS: dict[str, Any] = {
-    "mass": 0.5,
-    "coupling": 1.0,
-    "z0": 1.0,
-    "deficit": 1.0,
-    "radius": 5.0,
-    "hbar": 1.0,
-    "mode": "exact",
-    "level": "ground",
-    "nu-max": 6.0,
-    "nu-step": 0.5,
-    "m-max": 10,  # compare-approx only; spectrum requires m-max explicitly
-    "output": "csv",
-    "out": None,
-}
-
-_REQUIRED = {
-    "bessel-zero": ("nu", "m"),
-    "eval-bessel": ("nu", "q"),
-    "critical-radius": ("n", "m"),
-    "spectrum": ("n-max", "m-max"),
-}
-
-_INT_KEYS = {"n", "m", "n-max", "m-max", "ref-n", "ref-m"}
-_FLOAT_KEYS = {"mass", "coupling", "z0", "deficit", "radius", "hbar", "nu", "q", "nu-max", "nu-step"}
+_NU = _opt("nu", float, required=True, check=_NONNEG_FLOAT)
+_M = _opt("m", int, required=True, check=_NONNEG_INT)
+_MODE = _opt("mode", ZeroApproxMode, "exact")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: command, physics parameters and options."""
-
-    command: str
-    params: PhysicalParams
-    output_format: str
-    output_path: Optional[str]
-    mode: ZeroApproxMode
-    level: EnergyLevel
-    n: Optional[int] = None
-    m: Optional[int] = None
-    n_max: Optional[int] = None
-    m_max: Optional[int] = None
-    nu: Optional[float] = None
-    q: Optional[float] = None
-    nu_max: Optional[float] = None
-    nu_step: Optional[float] = None
-    ref_n: Optional[int] = None
-    ref_m: Optional[int] = None
+# Handlers: each returns (columns, rows, json_extra); json_extra, if set,
+# replaces "rows" in the JSON record.
+def _bound_states(config: RunConfig):
+    states = (ground_state(config.params), excited_state(config.params))
+    rows = [
+        {"level": s.level.value, "energy": s.energy, "xi": s.xi, "h_factor": s.h_factor}
+        for s in states
+        if s is not None
+    ]
+    extra = {"ground": rows[0], "excited": rows[1] if len(rows) > 1 else None}
+    return list(rows[0]), rows, extra
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="defectcyl",
-        description=(
-            "Discrete spectrum of a particle trapped in a cylinder with a "
-            "conical defect and twin attractive delta wells."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _bessel_zero(config: RunConfig):
+    zero = bessel_zero(config.nu, config.m, config.mode)
+    row = {"nu": config.nu, "m": config.m, "mode": config.mode.value, "zero": zero}
+    return list(row), [row], None
 
-    help_by_command = {
-        "bound-states": "solve the two axial delta-well levels",
-        "bessel-zero": "one zero of J_nu, exact or closed-form",
-        "spectrum": "joint (n, m, level) energy table",
-        "critical-radius": "radius at which a state's total energy vanishes",
-        "compare-approx": "closed-form zero estimate audited against exact zeros",
-        "eval-bessel": "evaluate J_nu(q)",
+
+def _eval_bessel(config: RunConfig):
+    ev = bessel_j(config.nu, config.q)
+    row = {
+        "nu": config.nu,
+        "q": config.q,
+        "value": ev.value,
+        "method": ev.method.value,
+        "term_count": ev.term_count,
     }
-
-    for command in COMMANDS:
-        sp = sub.add_parser(command, help=help_by_command[command])
-        for key in _PARAM_KEYS:
-            sp.add_argument(f"--{key}", type=float, default=None)
-        sp.add_argument("--config", default=None, help="flat JSON config file")
-        sp.add_argument("--output", choices=("csv", "json"), default=None)
-        sp.add_argument("--out", default=None, help="output file (default: stdout)")
-        for key in _COMMAND_KEYS[command]:
-            if key in _INT_KEYS:
-                sp.add_argument(f"--{key}", type=int, default=None)
-            elif key == "mode":
-                sp.add_argument("--mode", choices=[m.value for m in ZeroApproxMode], default=None)
-            elif key == "level":
-                sp.add_argument("--level", choices=[l.value for l in EnergyLevel], default=None)
-            else:
-                sp.add_argument(f"--{key}", type=float, default=None)
-    return parser
+    return list(row), [row], None
 
 
-def _load_config_file(parser: argparse.ArgumentParser, path: str, command: str) -> dict[str, Any]:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config file {path}: {exc}")
-    if not isinstance(raw, dict):
-        parser.error(f"config file {path} must hold a flat JSON object")
-    allowed = set(_PARAM_KEYS) | set(_COMMAND_KEYS[command]) | set(_OUTPUT_KEYS)
-    for key in raw:
-        if key not in allowed:
-            parser.error(f"unknown config key '{key}' for command {command}")
-    return raw
-
-
-def _coerce(parser: argparse.ArgumentParser, key: str, value: Any) -> Any:
-    if value is None:
-        return None
-    try:
-        if key in _INT_KEYS:
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except (TypeError, ValueError):
-        parser.error(f"{key} must be a number")
-    return value
-
-
-def parse_config(argv: list[str]) -> RunConfig:
-    """Resolve argv plus optional config file into a validated RunConfig.
-
-    Precedence: explicit flags, then config-file values, then defaults.
-    Any violation exits with usage status 2.
-    """
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    command = ns.command
-
-    file_values: dict[str, Any] = {}
-    if ns.config is not None:
-        file_values = _load_config_file(parser, ns.config, command)
-
-    keys = set(_PARAM_KEYS) | set(_COMMAND_KEYS[command]) | set(_OUTPUT_KEYS)
-    merged: dict[str, Any] = {}
-    for key in keys:
-        flag_value = getattr(ns, key.replace("-", "_"))
-        if flag_value is not None:
-            merged[key] = flag_value
-        elif key in file_values:
-            merged[key] = _coerce(parser, key, file_values[key])
-        else:
-            merged[key] = _DEFAULTS.get(key)
-
-    for key in _REQUIRED.get(command, ()):
-        if merged.get(key) is None:
-            parser.error(f"--{key} is required for {command}")
-
-    params = PhysicalParams(
-        mass=merged["mass"],
-        coupling=merged["coupling"],
-        half_separation=merged["z0"],
-        deficit=merged["deficit"],
-        radius=merged["radius"],
-        hbar=merged["hbar"],
-    )
-    try:
-        validate(params)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    def _nonneg_int(key: str) -> Optional[int]:
-        value = merged.get(key)
-        if value is None:
-            return None
-        if not isinstance(value, int) or value < 0:
-            parser.error(f"{key} must be a non-negative integer")
-        return value
-
-    def _nonneg_float(key: str) -> Optional[float]:
-        value = merged.get(key)
-        if value is None:
-            return None
-        if not (value >= 0) or not math.isfinite(value):
-            parser.error(f"{key} must be >= 0")
-        return value
-
-    nu_step = merged.get("nu-step")
-    if nu_step is not None and not (nu_step > 0):
-        parser.error("nu-step must be > 0")
-
-    mode_value = merged.get("mode") or _DEFAULTS["mode"]
-    try:
-        mode = ZeroApproxMode(mode_value)
-    except ValueError:
-        parser.error(f"mode must be one of {[m.value for m in ZeroApproxMode]}")
-    level_value = merged.get("level") or _DEFAULTS["level"]
-    try:
-        level = EnergyLevel(level_value)
-    except ValueError:
-        parser.error(f"level must be one of {[l.value for l in EnergyLevel]}")
-
-    output_format = merged.get("output") or _DEFAULTS["output"]
-    if output_format not in ("csv", "json"):
-        parser.error("output must be csv or json")
-
-    ref_n = _nonneg_int("ref-n")
-    ref_m = _nonneg_int("ref-m")
-    if (ref_n is None) != (ref_m is None):
-        parser.error("ref-n and ref-m must be given together")
-
-    return RunConfig(
-        command=command,
-        params=params,
-        output_format=output_format,
-        output_path=merged.get("out"),
-        mode=mode,
-        level=level,
-        n=_nonneg_int("n"),
-        m=_nonneg_int("m"),
-        n_max=_nonneg_int("n-max"),
-        m_max=_nonneg_int("m-max"),
-        nu=_nonneg_float("nu"),
-        q=_nonneg_float("q"),
-        nu_max=_nonneg_float("nu-max"),
-        nu_step=nu_step,
-        ref_n=ref_n,
-        ref_m=ref_m,
-    )
-
-
-def _config_echo(config: RunConfig) -> dict[str, Any]:
-    echo: dict[str, Any] = {
-        "command": config.command,
-        "mass": config.params.mass,
-        "coupling": config.params.coupling,
-        "z0": config.params.half_separation,
-        "deficit": config.params.deficit,
-        "radius": config.params.radius,
-        "hbar": config.params.hbar,
-        "output": config.output_format,
-    }
-    for key in ("n", "m", "n_max", "m_max", "nu", "q", "nu_max", "nu_step", "ref_n", "ref_m"):
-        value = getattr(config, key)
-        if value is not None:
-            echo[key.replace("_", "-")] = value
-    if config.command in ("bessel-zero", "spectrum"):
-        echo["mode"] = config.mode.value
-    if config.command == "critical-radius":
-        echo["level"] = config.level.value
-    return echo
-
-
-def _state_row(state) -> dict[str, Any]:
-    return {
-        "level": state.level.value,
-        "energy": state.energy,
-        "xi": state.xi,
+def _critical_radius(config: RunConfig):
+    qn = QuantumNumbers(config.n, config.m)
+    state = level_state(config.params, config.level)
+    row = {
+        "n": qn.n,
+        "m": qn.m,
+        "level": config.level.value,
         "h_factor": state.h_factor,
+        "critical_radius": critical_radius(config.params, qn, config.level),
     }
+    return list(row), [row], None
 
 
-def _command_output(config: RunConfig) -> tuple[list[str], list[dict[str, Any]], Optional[dict[str, Any]]]:
-    """Returns (columns, rows, json_extra). json_extra replaces "rows" if set."""
-    p = config.params
-    if config.command == "bound-states":
-        ground = _state_row(ground_state(p))
-        excited = excited_state(p)
-        rows = [ground]
-        extra: dict[str, Any] = {"ground": ground, "excited": None}
-        if excited is not None:
-            row = _state_row(excited)
-            rows.append(row)
-            extra["excited"] = row
-        return ["level", "energy", "xi", "h_factor"], rows, extra
+def _compare_approx(config: RunConfig):
+    table = zero_approx_table(config.nu_max, config.m_max, config.nu_step)
+    rows = [
+        {"nu": nu, "m": m, "exact": exact, "mcmahon": approx, "rel_error": rel}
+        for nu, m, exact, approx, rel in table
+    ]
+    return ["nu", "m", "exact", "mcmahon", "rel_error"], rows, None
 
-    if config.command == "bessel-zero":
-        zero = bessel_zero(config.nu, config.m, config.mode)
-        row = {"nu": config.nu, "m": config.m, "mode": config.mode.value, "zero": zero}
-        return ["nu", "m", "mode", "zero"], [row], None
 
-    if config.command == "eval-bessel":
-        ev = bessel_j(config.nu, config.q)
-        row = {
-            "nu": config.nu,
-            "q": config.q,
-            "value": ev.value,
-            "method": ev.method.value,
-            "term_count": ev.term_count,
-        }
-        return ["nu", "q", "value", "method", "term_count"], [row], None
-
-    if config.command == "critical-radius":
-        qn = QuantumNumbers(config.n, config.m)
-        state = level_state(p, config.level)
-        row = {
-            "n": qn.n,
-            "m": qn.m,
-            "level": config.level.value,
-            "h_factor": state.h_factor,
-            "critical_radius": critical_radius(p, qn, config.level),
-        }
-        return ["n", "m", "level", "h_factor", "critical_radius"], [row], None
-
-    if config.command == "compare-approx":
-        table = zero_approx_table(config.nu_max, config.m_max, config.nu_step)
-        rows = [
-            {"nu": nu, "m": m, "exact": exact, "mcmahon": approx, "rel_error": rel}
-            for nu, m, exact, approx, rel in table
-        ]
-        return ["nu", "m", "exact", "mcmahon", "rel_error"], rows, None
-
-    # spectrum
+def _spectrum(config: RunConfig):
     reference = None
     if config.ref_n is not None:
         reference = ReferenceState(QuantumNumbers(config.ref_n, config.ref_m))
-    columns = ["n", "m", "level", "nu", "radial_energy", "z_energy", "total_energy", "classification", "mode"]
-    if reference is not None:
-        columns.append("reference_class")
     rows = []
-    for entry in spectrum_table(p, config.n_max, config.m_max, config.mode):
+    for entry in spectrum_table(config.params, config.n_max, config.m_max, config.mode):
         row = {
             "n": entry.qn.n,
             "m": entry.qn.m,
@@ -373,9 +142,152 @@ def _command_output(config: RunConfig) -> tuple[list[str], list[dict[str, Any]],
             "mode": entry.mode.value,
         }
         if reference is not None:
-            row["reference_class"] = classify(p, reference, entry.qn, entry.level).value
+            row["reference_class"] = classify(config.params, reference, entry.qn, entry.level).value
         rows.append(row)
-    return columns, rows, None
+    # spectrum_table always holds the (0, 0, ground) row, so rows[0] has every column.
+    return list(rows[0]), rows, None
+
+
+# Each subcommand once: (help, handler, its own options after _COMMON).
+COMMANDS = {
+    "bound-states": ("solve the two axial delta-well levels", _bound_states, ()),
+    "bessel-zero": ("one zero of J_nu, exact or closed-form", _bessel_zero, (_NU, _M, _MODE)),
+    "spectrum": ("joint (n, m, level) energy table", _spectrum, (
+        _opt("n-max", int, required=True, check=_NONNEG_INT),
+        _opt("m-max", int, required=True, check=_NONNEG_INT),
+        _MODE,
+        _opt("ref-n", int, check=_NONNEG_INT),
+        _opt("ref-m", int, check=_NONNEG_INT),
+    )),
+    "critical-radius": ("radius at which a state's total energy vanishes", _critical_radius, (
+        _opt("n", int, required=True, check=_NONNEG_INT),
+        _M,
+        _opt("level", EnergyLevel, "ground"),
+    )),
+    "compare-approx": ("closed-form zero estimate audited against exact zeros", _compare_approx, (
+        _opt("nu-max", float, 6.0, check=_NONNEG_FLOAT),
+        _opt("m-max", int, 10, check=_NONNEG_INT),
+        _opt("nu-step", float, 0.5, check=_POSITIVE),
+    )),
+    "eval-bessel": ("evaluate J_nu(q)", _eval_bessel, (
+        _NU,
+        _opt("q", float, required=True, check=_NONNEG_FLOAT),
+    )),
+}
+
+
+def _attr(name: str) -> str:
+    return name.replace("-", "_")
+
+
+def _choices(kind) -> Optional[list[str]]:
+    return [member.value for member in kind] if isinstance(kind, EnumMeta) else None
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="defectcyl",
+        description=(
+            "Discrete spectrum of a particle trapped in a cylinder with a "
+            "conical defect and twin attractive delta wells."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, _handler, own) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", default=None, help="flat JSON config file")
+        for name, kind, _default, _required, _check, hint in _COMMON + own:
+            choices = _choices(kind)
+            # Defaults stay None here so that config-file values can fill in.
+            sp.add_argument(f"--{name}", type=None if choices else kind, choices=choices, help=hint)
+    return parser
+
+
+def _convert(parser: argparse.ArgumentParser, name: str, kind, check, value: Any) -> Any:
+    """Bring a flag, config-file or default value to the option's kind and check it."""
+    choices = _choices(kind)
+    if choices is not None:
+        if value not in choices:
+            parser.error(f"{name} must be one of {choices}")
+        value = kind(value)
+    elif kind is str:
+        if not isinstance(value, str):
+            parser.error(f"{name} must be a string")
+    else:
+        try:
+            # int(True) and float(True) succeed, so JSON true/false is refused here.
+            fractional = kind is int and isinstance(value, float) and not value.is_integer()
+            if isinstance(value, bool) or fractional:
+                raise ValueError
+            value = kind(value)
+        except (TypeError, ValueError):
+            parser.error(f"{name} must be a number")
+    if check is not None and not check[0](value):
+        parser.error(f"{name} {check[1]}")
+    return value
+
+
+def parse_config(argv: list[str]) -> RunConfig:
+    """Resolve argv plus optional config file into a validated RunConfig.
+
+    Precedence: explicit flags, then config-file values, then defaults.
+    Any violation exits with usage status 2.
+    """
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    command = ns.command
+    options = _COMMON + COMMANDS[command][2]
+
+    file_values: dict[str, Any] = {}
+    if ns.config is not None:
+        try:
+            file_values = json.loads(Path(ns.config).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            parser.error(f"cannot read config file {ns.config}: {exc}")
+        if not isinstance(file_values, dict):
+            parser.error(f"config file {ns.config} must hold a flat JSON object")
+        allowed = {option[0] for option in options}
+        for key in file_values:
+            if key not in allowed:
+                parser.error(f"unknown config key '{key}' for command {command}")
+
+    values: dict[str, Any] = {}
+    for name, kind, default, required, check, _help in options:
+        value = getattr(ns, _attr(name))
+        if value is None:
+            value = file_values.get(name)
+        if value is None:
+            value = default
+        if value is None and required:
+            parser.error(f"--{name} is required for {command}")
+        values[name] = None if value is None else _convert(parser, name, kind, check, value)
+
+    if (values.get("ref-n") is None) != (values.get("ref-m") is None):
+        parser.error("ref-n and ref-m must be given together")
+
+    # Each physics flag names its PhysicalParams field, except z0.
+    params = PhysicalParams(
+        half_separation=values["z0"],
+        **{name: values[name] for name in ("mass", "coupling", "deficit", "radius", "hbar")},
+    )
+    try:
+        validate(params)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    return RunConfig(
+        command=command, params=params, **{_attr(name): value for name, value in values.items()}
+    )
+
+
+def _config_echo(config: RunConfig) -> dict[str, Any]:
+    """The six physics fields, output, and every option of the command that is set."""
+    echo: dict[str, Any] = {"command": config.command}
+    for name, *_rest in _COMMON + COMMANDS[config.command][2]:
+        value = getattr(config, _attr(name))
+        if value is not None and name != "out":
+            echo[name] = value.value if isinstance(value, Enum) else value
+    return echo
 
 
 def _render_csv(columns: list[str], rows: list[dict[str, Any]]) -> str:
@@ -395,7 +307,7 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _render_json(config: RunConfig, rows: list[dict[str, Any]], extra: Optional[dict[str, Any]]) -> str:
+def _render_json(config: RunConfig, rows: list[dict], extra: Optional[dict]) -> str:
     payload: dict[str, Any] = {"config": _config_echo(config)}
     if extra is not None:
         payload.update(extra)
@@ -406,7 +318,7 @@ def _render_json(config: RunConfig, rows: list[dict[str, Any]], extra: Optional[
 
 def run(config: RunConfig) -> int:
     """Execute one resolved invocation and write its table or record."""
-    columns, rows, extra = _command_output(config)
+    columns, rows, extra = COMMANDS[config.command][1](config)
     if config.output_format == "csv":
         text = _render_csv(columns, rows)
     else:
@@ -422,6 +334,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     config = parse_config(sys.argv[1:] if argv is None else argv)
     try:
         return run(config)
-    except (ValueError, RuntimeError, OverflowError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

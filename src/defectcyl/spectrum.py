@@ -124,8 +124,13 @@ def classify(
     """
     validate(params)
     level_state(params, level)  # excited reference requires existence
-    b2 = 2.0 * params.deficit
-    diff = (qn.n - reference.qn_bar.n) / b2 + (qn.m - reference.qn_bar.m)
+    return _inequality_classification(params.deficit, reference, qn)
+
+
+def _inequality_classification(
+    deficit: float, reference: ReferenceState, qn: QuantumNumbers
+) -> Classification:
+    diff = (qn.n - reference.qn_bar.n) / (2.0 * deficit) + (qn.m - reference.qn_bar.m)
     if abs(diff) <= _EQ_TOL:
         return Classification.ZERO
     return Classification.BOUND if diff < 0 else Classification.POSITIVE
@@ -195,13 +200,14 @@ def classification_disagreements(
     set to the reference critical radius, exact zeros used for energies).
     """
     pinned = replace(params, radius=critical_radius(params, reference.qn_bar, level))
+    state = level_state(pinned, level)  # one level solve serves every row
     mismatches: list[QuantumNumbers] = []
     for n in range(n_max + 1):
         for m in range(m_max + 1):
             qn = QuantumNumbers(n, m)
-            by_inequality = classify(params, reference, qn, level)
+            by_inequality = _inequality_classification(params.deficit, reference, qn)
             radial = radial_energy(pinned, qn, ZeroApproxMode.EXACT)
-            total = total_energy(pinned, qn, level, ZeroApproxMode.EXACT)
+            total = radial + state.energy
             if _sign_classification(total, radial) is not by_inequality:
                 mismatches.append(qn)
     return mismatches

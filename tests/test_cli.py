@@ -109,6 +109,18 @@ class TestParseConfig:
             parse_config([*SPECTRUM_ARGS, "--ref-n", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, values, key",
+        [("bessel-zero", {"m": True, "nu": 1}, "m"), ("bound-states", {"radius": True}, "radius")],
+    )
+    def test_config_booleans_are_not_numbers(self, tmp_path: Path, capsys, command, values, key):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(values))
+        with pytest.raises(SystemExit) as exc:
+            parse_config([command, "--config", str(cfg_file)])
+        assert exc.value.code == 2
+        assert f"{key} must be a number" in capsys.readouterr().err
+
 
 class TestExitStatuses:
     def test_success(self):
@@ -128,6 +140,26 @@ class TestExitStatuses:
     def test_unknown_command_is_2(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
+
+    def test_spectrum_requires_m_max(self):
+        proc = run_cli("spectrum", "--n-max", "1")
+        assert proc.returncode == 2
+        assert "--m-max is required for spectrum" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bound-states", "--z0", "1e-320"],
+            ["spectrum", "--radius", "1e-200", "--n-max", "1", "--m-max", "1"],
+            ["critical-radius", "--coupling", "1e-300", "--n", "0", "--m", "0"],
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_arithmetic_failure_is_1_without_traceback(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestBoundStatesCommand:
@@ -187,6 +219,77 @@ class TestDeterminism:
                     assert float(crow[key]) == jval
                 else:
                     assert crow[key] == str(jval)
+
+
+PHYSICS_ECHO = {"coupling": 1.0, "deficit": 1.0, "hbar": 1.0, "mass": 0.5, "radius": 5.0}
+
+
+class TestShape:
+    """CSV header and JSON config echo of each subcommand, pinned literally.
+
+    Determinism tests compare two runs of one version; these pin the shape
+    across versions. Energies and zeros are not pinned.
+    """
+
+    CASES = [
+        (
+            ["bound-states", "--z0", "2"],
+            "level,energy,xi,h_factor",
+            {"command": "bound-states", "z0": 2.0},
+        ),
+        (
+            ["bessel-zero", "--nu", "1.5", "--m", "2"],
+            "nu,m,mode,zero",
+            {"command": "bessel-zero", "z0": 1.0, "nu": 1.5, "m": 2, "mode": "exact"},
+        ),
+        (
+            ["spectrum", "--z0", "2", "--n-max", "1", "--m-max", "1"],
+            "n,m,level,nu,radial_energy,z_energy,total_energy,classification,mode",
+            {"command": "spectrum", "z0": 2.0, "n-max": 1, "m-max": 1, "mode": "exact"},
+        ),
+        (
+            [
+                "spectrum", "--z0", "2", "--n-max", "1", "--m-max", "1",
+                "--ref-n", "0", "--ref-m", "1",
+            ],
+            "n,m,level,nu,radial_energy,z_energy,total_energy,classification,mode,reference_class",
+            {
+                "command": "spectrum", "z0": 2.0, "n-max": 1, "m-max": 1, "mode": "exact",
+                "ref-n": 0, "ref-m": 1,
+            },
+        ),
+        (
+            ["critical-radius", "--n", "1", "--m", "0", "--z0", "2"],
+            "n,m,level,h_factor,critical_radius",
+            {"command": "critical-radius", "z0": 2.0, "n": 1, "m": 0, "level": "ground"},
+        ),
+        (
+            ["compare-approx", "--nu-max", "1"],
+            "nu,m,exact,mcmahon,rel_error",
+            {"command": "compare-approx", "z0": 1.0, "nu-max": 1.0, "m-max": 10, "nu-step": 0.5},
+        ),
+        (
+            ["eval-bessel", "--nu", "0.5", "--q", "3"],
+            "nu,q,value,method,term_count",
+            {"command": "eval-bessel", "z0": 1.0, "nu": 0.5, "q": 3.0},
+        ),
+    ]
+
+    IDS = ["bound-states", "bessel-zero", "spectrum", "spectrum-ref", "critical-radius",
+           "compare-approx", "eval-bessel"]
+
+    @pytest.mark.parametrize("args, header, echo", CASES, ids=IDS)
+    def test_header_and_config_echo(self, args, header, echo):
+        as_csv = run_cli(*args)
+        assert as_csv.returncode == 0
+        assert as_csv.stdout.splitlines()[0] == header
+        as_json = run_cli(*args, "--output", "json")
+        assert as_json.returncode == 0
+        config = json.loads(as_json.stdout)["config"]
+        expected = {**PHYSICS_ECHO, "output": "json", **echo}
+        assert config == expected
+        # 1 == 1.0 in Python, so the int-versus-float split is compared separately.
+        assert {k: type(v) for k, v in config.items()} == {k: type(v) for k, v in expected.items()}
 
 
 class TestOutputs:
