@@ -3,12 +3,16 @@
 Everything here is self-contained double precision. J_nu is evaluated from
 its ascending power series for moderate arguments and from the standard
 large-argument cosine expansion beyond that; zeros are located by walking
-sign changes and polishing them with the safeguarded Newton solver.
+sign changes and polishing them with the safeguarded Newton solver. A table
+call walks each order once and polishes a bracket only when its zero is asked for.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
@@ -189,43 +193,101 @@ def bessel_j_derivative(nu: float, q: float) -> float:
 _ZERO_TOL = Tolerances(abs_x=1e-13, abs_f=1e-12, max_iter=200)
 
 
-def _exact_zero(nu: float, m: int) -> float:
-    """Locate the (m+1)-th positive zero of J_nu by counting sign changes.
+class _ZeroWalk:
+    """The pi/4 sign-change walk of one order, continued on demand.
 
     J_nu is positive on (0, first zero) and its zeros are simple and spaced
     by at least ~3.1, so a pi/4 walk starting below the first zero cannot
-    skip any. Each bracket is polished with the safeguarded Newton solver.
+    skip any. The walk records every bracket it passes; a bracket is polished
+    with the safeguarded Newton solver only when its zero is asked for.
     """
-    x = max(nu, 1e-3)
-    f_prev = _j(nu, x)
-    if f_prev == 0.0:  # essentially unreachable; nudge off the exact zero
-        x *= 1.0 + 1e-9
-        f_prev = _j(nu, x)
-    # The target zero sits below the McMahon estimate for orders above 1/2
-    # and at most ~0.05 above it for smaller orders, so this cap is only
-    # crossed if the walk is broken.
-    cap = math.pi * (0.5 * nu + m + 0.75) + 2.0 * math.pi
-    crossings = 0
-    while x < cap:
+
+    def __init__(self, nu: float) -> None:
+        x = max(nu, 1e-3)
+        fx = _j(nu, x)
+        if fx == 0.0:  # essentially unreachable; nudge off the exact zero
+            x *= 1.0 + 1e-9
+            fx = _j(nu, x)
+        self.nu = nu
+        self.point = (x, fx)
+        self.brackets: list[tuple[float, float, float, float]] = []  # (lo, hi, J(lo), J(hi))
+        self.roots: dict[int, float] = {}
+
+    def zero(self, m: int) -> float:
+        """The (m+1)-th positive zero, walking and polishing only as needed."""
+        if m not in self.roots:
+            self.roots[m] = self._polish(self._bracket(m))
+        return self.roots[m]
+
+    def _bracket(self, m: int) -> tuple[float, float, float, float]:
+        # The target zero sits below the McMahon estimate for orders above 1/2
+        # and at most ~0.05 above it for smaller orders, so this cap is only
+        # crossed if the walk is broken.
+        cap = math.pi * (0.5 * self.nu + m + 0.75) + 2.0 * math.pi
+        while len(self.brackets) <= m and self.point[0] < cap:
+            self._step()
+        if len(self.brackets) <= m or self.brackets[m][0] >= cap:
+            raise RuntimeError(f"zero not bracketed for nu={self.nu}, m={m} (internal error)")
+        return self.brackets[m]
+
+    def _step(self) -> None:
+        # Evaluate before touching any state, so a raise leaves the walk as it was.
+        x, fx = self.point
         x_next = x + _WALK_STEP
-        f_next = _j(nu, x_next)
-        if f_next == 0.0 or (f_next > 0) != (f_prev > 0):
-            if crossings == m:
-                if f_next == 0.0:
-                    return x_next
-                result = refine_with_derivative(
-                    f=lambda t: _j(nu, t),
-                    df=lambda t: bessel_j_derivative(nu, t),
-                    seed=0.5 * (x + x_next),
-                    guard=(x, x_next),
-                    tol=_ZERO_TOL,
-                )
-                return result.root
-            crossings += 1
+        f_next = _j(self.nu, x_next)
+        if f_next == 0.0 or (f_next > 0) != (fx > 0):
+            self.brackets.append((x, x_next, fx, f_next))
             if f_next == 0.0:
-                f_next = -f_prev
-        x, f_prev = x_next, f_next
-    raise RuntimeError(f"zero not bracketed for nu={nu}, m={m} (internal error)")
+                # keep only the sign: the next zero is steps away, so this never seeds J(lo)
+                f_next = -fx
+        self.point = (x_next, f_next)
+
+    def _polish(self, bracket: tuple[float, float, float, float]) -> float:
+        lo, hi, f_lo, f_hi = bracket
+        if f_hi == 0.0:
+            return hi
+        nu = self.nu
+        # J_nu by abscissa, from the walk's ends on; J' = (nu/t) J_nu - J_{nu+1} reuses it.
+        known = {lo: f_lo, hi: f_hi}
+
+        def f(t: float) -> float:
+            value = known.get(t)
+            if value is None:
+                value = known[t] = _j(nu, t)
+            return value
+
+        return refine_with_derivative(
+            f=f,
+            df=lambda t: (nu / t) * f(t) - _j(nu + 1.0, t),
+            seed=0.5 * (lo + hi),
+            guard=(lo, hi),
+            tol=_ZERO_TOL,
+        ).root
+
+
+# One walk per order, shared by the zeros of a single top-level call.
+_WALKS: ContextVar[dict[float, _ZeroWalk] | None] = ContextVar("_WALKS", default=None)
+
+
+@contextmanager
+def _sharing_zero_walks() -> Iterator[None]:
+    """Share one walk per order among the zeros asked for inside the block."""
+    token = _WALKS.set({})
+    try:
+        yield
+    finally:
+        _WALKS.reset(token)
+
+
+def _exact_zero(nu: float, m: int) -> float:
+    """The (m+1)-th positive zero of J_nu, from the scope's walk or a fresh one."""
+    walks = _WALKS.get()
+    if walks is None:
+        return _ZeroWalk(nu).zero(m)
+    walk = walks.get(nu)
+    if walk is None:
+        walk = walks[nu] = _ZeroWalk(nu)
+    return walk.zero(m)
 
 
 def bessel_zero(nu: float, m: int, mode: ZeroApproxMode = ZeroApproxMode.EXACT) -> float:
@@ -255,10 +317,11 @@ def zero_approx_table(
         raise ValueError("m_max must be a non-negative integer")
     rows = []
     steps = int(round(nu_max / nu_step))
-    for i in range(steps + 1):
-        nu = i * nu_step
-        for m in range(m_max + 1):
-            exact = bessel_zero(nu, m, ZeroApproxMode.EXACT)
-            approx = bessel_zero(nu, m, ZeroApproxMode.MCMAHON)
-            rows.append((nu, m, exact, approx, abs(approx - exact) / exact))
+    with _sharing_zero_walks():
+        for i in range(steps + 1):
+            nu = i * nu_step
+            for m in range(m_max + 1):
+                exact = bessel_zero(nu, m, ZeroApproxMode.EXACT)
+                approx = bessel_zero(nu, m, ZeroApproxMode.MCMAHON)
+                rows.append((nu, m, exact, approx, abs(approx - exact) / exact))
     return rows

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .model import EnergyLevel, PhysicalParams, QuantumNumbers, bessel_order, validate
-from .specfun import ZeroApproxMode, bessel_zero
+from .specfun import ZeroApproxMode, _sharing_zero_walks, bessel_zero
 from .wells import BoundState, excited_state, ground_state
 
 # Totals within this relative band of the radial energy count as zero when
@@ -163,25 +163,26 @@ def spectrum_table(
         levels.append(excited)
 
     entries: list[SpectrumEntry] = []
-    for n in range(n_max + 1):
-        nu = bessel_order(n, params.deficit)
-        for m in range(m_max + 1):
-            qn = QuantumNumbers(n, m)
-            radial = radial_energy(params, qn, mode)
-            for state in levels:
-                total = radial + state.energy
-                entries.append(
-                    SpectrumEntry(
-                        qn=qn,
-                        level=state.level,
-                        nu=nu,
-                        radial_energy=radial,
-                        z_energy=state.energy,
-                        total_energy=total,
-                        classification=_sign_classification(total, radial),
-                        mode=mode,
+    with _sharing_zero_walks():
+        for n in range(n_max + 1):
+            nu = bessel_order(n, params.deficit)
+            for m in range(m_max + 1):
+                qn = QuantumNumbers(n, m)
+                radial = radial_energy(params, qn, mode)
+                for state in levels:
+                    total = radial + state.energy
+                    entries.append(
+                        SpectrumEntry(
+                            qn=qn,
+                            level=state.level,
+                            nu=nu,
+                            radial_energy=radial,
+                            z_energy=state.energy,
+                            total_energy=total,
+                            classification=_sign_classification(total, radial),
+                            mode=mode,
+                        )
                     )
-                )
     return entries
 
 
@@ -202,12 +203,13 @@ def classification_disagreements(
     pinned = replace(params, radius=critical_radius(params, reference.qn_bar, level))
     state = level_state(pinned, level)  # one level solve serves every row
     mismatches: list[QuantumNumbers] = []
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            qn = QuantumNumbers(n, m)
-            by_inequality = _inequality_classification(params.deficit, reference, qn)
-            radial = radial_energy(pinned, qn, ZeroApproxMode.EXACT)
-            total = radial + state.energy
-            if _sign_classification(total, radial) is not by_inequality:
-                mismatches.append(qn)
+    with _sharing_zero_walks():
+        for n in range(n_max + 1):
+            for m in range(m_max + 1):
+                qn = QuantumNumbers(n, m)
+                by_inequality = _inequality_classification(params.deficit, reference, qn)
+                radial = radial_energy(pinned, qn, ZeroApproxMode.EXACT)
+                total = radial + state.energy
+                if _sign_classification(total, radial) is not by_inequality:
+                    mismatches.append(qn)
     return mismatches

@@ -6,14 +6,23 @@ from hypothesis import given, settings, strategies as st
 
 from defectcyl import (
     EvalMethod,
+    Tolerances,
     ZeroApproxMode,
     bessel_j,
     bessel_j_derivative,
     bessel_zero,
     ln_gamma,
+    refine_with_derivative,
     zero_approx_table,
 )
-from defectcyl.specfun import _asymptotic_value, _series_switch, _series_value
+from defectcyl import specfun
+from defectcyl.specfun import (
+    _asymptotic_value,
+    _series_switch,
+    _series_value,
+    _sharing_zero_walks,
+    _ZeroWalk,
+)
 
 import oracles
 
@@ -192,7 +201,70 @@ class TestBesselZero:
             bessel_zero(1.0, -1)
 
 
+class TestZeroWalk:
+    @pytest.mark.parametrize("nu", [0.0, 0.8, 2.5, 7.75])
+    def test_scrambled_requests_in_one_scope_match_standalone_zeros(self, nu):
+        order = (5, 2, 7, 0)
+        standalone = [bessel_zero(nu, m) for m in order]
+        with _sharing_zero_walks():
+            shared = [bessel_zero(nu, m) for m in order]
+        assert shared == standalone
+
+    @pytest.mark.parametrize("nu", [0.0, 0.8, 2.5, 7.75])
+    def test_matches_a_fresh_walk_and_plain_newton_polish(self, nu):
+        walk = _ZeroWalk(nu)
+        for m in range(12):
+            assert walk.zero(m) == _reference_zero(nu, m)
+
+    def test_walk_resumes_after_a_failed_evaluation(self, monkeypatch):
+        # Fail each J_nu evaluation of zero(5) in turn, in the walk and in the polish.
+        clean = _ZeroWalk(2.5)
+        real = specfun.bessel_j
+        calls, fail_at = [0], [0]
+
+        def failing_once(nu, q):
+            calls[0] += 1
+            if calls[0] == fail_at[0]:
+                raise OverflowError("injected")
+            return real(nu, q)
+
+        monkeypatch.setattr(specfun, "bessel_j", failing_once)
+        expected = clean.zero(5)
+        for k in range(1, calls[0] + 1):
+            walk = _ZeroWalk(2.5)
+            calls[0], fail_at[0] = 0, k
+            with pytest.raises(OverflowError, match="injected"):
+                walk.zero(5)
+            assert walk.zero(5) == expected
+            assert walk.brackets == clean.brackets
+
+
+def _reference_zero(nu, m):
+    """The (m+1)-th zero by a fresh pi/4 walk and a plain Newton polish."""
+    x = max(nu, 1e-3)
+    f_prev = bessel_j(nu, x).value
+    crossings = 0
+    while True:
+        x_next = x + math.pi / 4.0
+        f_next = bessel_j(nu, x_next).value
+        if (f_next > 0) != (f_prev > 0):
+            if crossings == m:
+                return refine_with_derivative(
+                    f=lambda t: bessel_j(nu, t).value,
+                    df=lambda t: bessel_j_derivative(nu, t),
+                    seed=0.5 * (x + x_next),
+                    guard=(x, x_next),
+                    tol=Tolerances(abs_x=1e-13, abs_f=1e-12, max_iter=200),
+                ).root
+            crossings += 1
+        x, f_prev = x_next, f_next
+
+
 class TestZeroApproxTable:
+    def test_exact_column_matches_bessel_zero(self):
+        for nu, m, exact, _, _ in zero_approx_table(3.0, 8, 0.5):
+            assert exact == bessel_zero(nu, m)
+
     def test_shape_and_grid(self):
         rows = zero_approx_table(2.0, 3, 0.5)
         assert len(rows) == 5 * 4

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -10,6 +14,7 @@ from defectcyl import (
     QuantumNumbers,
     ReferenceState,
     ZeroApproxMode,
+    bessel_zero,
     classification_disagreements,
     classify,
     critical_radius,
@@ -18,6 +23,7 @@ from defectcyl import (
     total_energy,
     zero_approx_table,
 )
+from defectcyl import specfun
 
 import oracles
 
@@ -243,6 +249,105 @@ class TestSpectrumTable:
     def test_rejects_negative_window(self):
         with pytest.raises(ValueError):
             spectrum_table(make_params(), -1, 0)
+
+    def test_rows_match_standalone_radial_energy(self):
+        p = make_params(deficit=0.8)
+        for mode in ZeroApproxMode:
+            for entry in spectrum_table(p, 5, 7, mode):
+                assert entry.radial_energy == radial_energy(p, entry.qn, mode)
+
+
+@pytest.fixture
+def jnu_calls(monkeypatch):
+    """Count the bessel_j calls made through specfun's module namespace."""
+    calls = [0]
+    real = specfun.bessel_j
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "bessel_j", counted)
+    return calls
+
+
+class TestWorkCeilings:
+    # bessel_j calls measured on these inputs. A ceiling may go down as the
+    # code gets cheaper; raising one needs a stated reason in CHANGES.md.
+    def test_reference_table(self, jnu_calls):
+        spectrum_table(make_params(deficit=0.8), 10, 10)
+        assert jnu_calls[0] <= 2051
+
+    def test_zero_approx_grid(self, jnu_calls):
+        zero_approx_table(6.0, 10, 0.5)
+        assert jnu_calls[0] <= 1638
+
+    def test_classification_disagreements(self, jnu_calls):
+        reference = ReferenceState(QuantumNumbers(0, 3))
+        classification_disagreements(make_params(deficit=0.8), reference, EnergyLevel.GROUND, 10, 10)
+        assert jnu_calls[0] <= 2051
+
+
+_FRESH_ZERO_COUNT = """
+from defectcyl import specfun
+real, calls = specfun.bessel_j, []
+specfun.bessel_j = lambda *args: calls.append(args) or real(*args)
+specfun.bessel_zero(1.0, 3)
+print(len(calls))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_zero_count():
+    """bessel_j calls that bessel_zero(1.0, 3) makes in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(specfun.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_ZERO_COUNT], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    return int(done.stdout)
+
+
+class TestZeroWalkScope:
+    # make_params() has deficit 1, so its tables walk order 1.0; a walk that
+    # outlived its table would make the later bessel_zero(1.0, 3) cheaper.
+    def test_no_walk_outlives_a_table(self, jnu_calls, fresh_zero_count):
+        spectrum_table(make_params(), 10, 10)
+        jnu_calls[0] = 0
+        bessel_zero(1.0, 3)
+        assert jnu_calls[0] == fresh_zero_count
+
+    def test_no_walk_outlives_a_failed_table(self, monkeypatch, jnu_calls, fresh_zero_count):
+        counted = specfun.bessel_j
+
+        def failing(*args):
+            if jnu_calls[0] == 1000:
+                raise OverflowError("injected")
+            return counted(*args)
+
+        monkeypatch.setattr(specfun, "bessel_j", failing)
+        with pytest.raises(OverflowError, match="injected"):
+            spectrum_table(make_params(), 10, 10)
+        monkeypatch.setattr(specfun, "bessel_j", counted)
+        jnu_calls[0] = 0
+        bessel_zero(1.0, 3)
+        assert jnu_calls[0] == fresh_zero_count
+
+    def test_threads_build_the_same_tables_as_serial_runs(self):
+        params = [
+            make_params(deficit=deficit, radius=radius)
+            for deficit, radius in ((0.5, 4.0), (0.8, 5.0), (1.0, 6.0), (1.3, 7.0), (2.0, 9.0), (1.0, 3.0))
+        ]
+        serial = [spectrum_table(p, 6, 8) for p in params]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(spectrum_table, p, 6, 8) for p in params]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(previous)
+        assert threaded == serial
 
 
 class TestModeGap:
