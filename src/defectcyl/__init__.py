@@ -8,7 +8,6 @@ from .model import (
     coupling_strength_parameter,
     validate,
 )
-from .rootfind import RootResult, Tolerances, refine_with_derivative, solve_bracketed
 from .specfun import (
     BesselEval,
     EvalMethod,
@@ -21,7 +20,6 @@ from .specfun import (
 )
 from .spectrum import (
     Classification,
-    ReferenceState,
     SpectrumEntry,
     classification_disagreements,
     classify,
@@ -30,15 +28,7 @@ from .spectrum import (
     spectrum_table,
     total_energy,
 )
-from .wells import (
-    BoundState,
-    analytic_limits,
-    excited_state,
-    excited_state_exists,
-    f_profile,
-    g_profile,
-    ground_state,
-)
+from .wells import BoundState, excited_state, f_profile, g_profile, ground_state
 
 __version__ = "0.1.0"
 
@@ -50,12 +40,8 @@ __all__ = [
     "EvalMethod",
     "PhysicalParams",
     "QuantumNumbers",
-    "ReferenceState",
-    "RootResult",
     "SpectrumEntry",
-    "Tolerances",
     "ZeroApproxMode",
-    "analytic_limits",
     "bessel_j",
     "bessel_j_derivative",
     "bessel_order",
@@ -65,14 +51,11 @@ __all__ = [
     "coupling_strength_parameter",
     "critical_radius",
     "excited_state",
-    "excited_state_exists",
     "f_profile",
     "g_profile",
     "ground_state",
     "ln_gamma",
     "radial_energy",
-    "refine_with_derivative",
-    "solve_bracketed",
     "spectrum_table",
     "total_energy",
     "validate",

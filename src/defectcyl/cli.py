@@ -19,15 +19,9 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Optional
 
-from .model import EnergyLevel, PhysicalParams, QuantumNumbers, validate
+from .model import EnergyLevel, PhysicalParams, QuantumNumbers
 from .specfun import ZeroApproxMode, bessel_j, bessel_zero, zero_approx_table
-from .spectrum import (
-    ReferenceState,
-    classify,
-    critical_radius,
-    level_state,
-    spectrum_table,
-)
+from .spectrum import classify, critical_radius, level_state, spectrum_table
 from .wells import excited_state, ground_state
 
 
@@ -53,8 +47,8 @@ _NONNEG_INT = (lambda v: v >= 0, "must be a non-negative integer")
 _NONNEG_FLOAT = (lambda v: 0 <= v < math.inf, "must be >= 0")  # NaN fails too
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 
-# Options of every subcommand. The physics values are checked together, by
-# validate(), once they form a PhysicalParams.
+# Options of every subcommand. The physics values are checked together when
+# they form a PhysicalParams.
 _COMMON = (
     _opt("mass", float, 0.5),
     _opt("coupling", float, 1.0),
@@ -127,7 +121,7 @@ def _compare_approx(config: RunConfig):
 def _spectrum(config: RunConfig):
     reference = None
     if config.ref_n is not None:
-        reference = ReferenceState(QuantumNumbers(config.ref_n, config.ref_m))
+        reference = QuantumNumbers(config.ref_n, config.ref_m)
     rows = []
     for entry in spectrum_table(config.params, config.n_max, config.m_max, config.mode):
         row = {
@@ -265,13 +259,12 @@ def parse_config(argv: list[str]) -> RunConfig:
     if (values.get("ref-n") is None) != (values.get("ref-m") is None):
         parser.error("ref-n and ref-m must be given together")
 
-    # Each physics flag names its PhysicalParams field, except z0.
-    params = PhysicalParams(
-        half_separation=values["z0"],
-        **{name: values[name] for name in ("mass", "coupling", "deficit", "radius", "hbar")},
-    )
     try:
-        validate(params)
+        # Each physics flag names its PhysicalParams field, except z0.
+        params = PhysicalParams(
+            half_separation=values["z0"],
+            **{name: values[name] for name in ("mass", "coupling", "deficit", "radius", "hbar")},
+        )
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -32,6 +32,9 @@ class PhysicalParams:
     radius: float
     hbar: float = 1.0
 
+    def __post_init__(self) -> None:
+        validate(self)
+
 
 class EnergyLevel(Enum):
     """The two possible axial bound states of the twin delta wells."""
@@ -55,13 +58,16 @@ class QuantumNumbers:
 
 
 def validate(params: PhysicalParams) -> PhysicalParams:
-    """Return ``params`` unchanged if every field is strictly positive and finite.
+    """Return ``params`` unchanged if every field is a strictly positive, finite number.
 
-    Raises ValueError naming the first violated field.
+    Raises ValueError naming the first violated field. Every PhysicalParams
+    runs this when it is built, so a built one is always valid.
     """
     for field in fields(params):
         value = getattr(params, field.name)
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{field.name} must be a number")
+        if not math.isfinite(value):
             raise ValueError(f"{field.name} must be finite")
         if value <= 0:
             raise ValueError(f"{field.name} must be positive")
@@ -87,7 +93,6 @@ def coupling_strength_parameter(params: PhysicalParams) -> float:
     Both axial transcendental equations reduce to profile(xi) = c, so two
     parameter sets with equal c share the same dimensionless solution.
     """
-    validate(params)
     return (
         params.half_separation
         * params.mass

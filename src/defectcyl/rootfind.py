@@ -1,7 +1,7 @@
-"""Bracketed scalar root finding: plain bisection and a safeguarded Newton.
+"""Bracketed scalar root finding: a Newton iteration safeguarded by bisection.
 
-Both solvers keep a sign-changing bracket at every step, are deterministic
-for identical inputs, and report the final bracket alongside the root.
+The solver keeps a sign-changing bracket at every step, is deterministic
+for identical inputs, and reports the final bracket alongside the root.
 Stateless and safe to call from multiple threads.
 """
 
@@ -46,44 +46,6 @@ def _check_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} is not finite")
     return value
-
-
-def solve_bracketed(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> RootResult:
-    """Bisect ``f`` on [lo, hi] until the residual or bracket width tolerance holds.
-
-    Requires f(lo) and f(hi) finite with opposite signs; an endpoint that is
-    exactly zero is returned immediately. The bracket halves every iteration.
-    """
-    if not (lo < hi):
-        raise ValueError("lo must be less than hi")
-    flo = _check_finite("f(lo)", f(lo))
-    if flo == 0.0:
-        return RootResult(root=lo, residual=0.0, iterations=0, bracket=(lo, hi))
-    fhi = _check_finite("f(hi)", f(hi))
-    if fhi == 0.0:
-        return RootResult(root=hi, residual=0.0, iterations=0, bracket=(lo, hi))
-    if (flo > 0) == (fhi > 0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-
-    for iteration in range(1, tol.max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return RootResult(root=mid, residual=0.0, iterations=iteration, bracket=(mid, mid))
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-        if abs(fmid) <= tol.abs_f or (hi - lo) <= tol.abs_x:
-            return RootResult(
-                root=mid, residual=abs(fmid), iterations=iteration, bracket=(lo, hi)
-            )
-    raise RuntimeError(f"max iterations ({tol.max_iter}) exceeded in solve_bracketed")
 
 
 def refine_with_derivative(

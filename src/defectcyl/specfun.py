@@ -37,6 +37,7 @@ _MAX_EXPONENT = 709.0  # exp() overflows just past this
 _SERIES_CUTOFF = 1e-16
 _SERIES_MAX_TERMS = 500
 _WALK_STEP = math.pi / 4.0  # well below the minimal spacing (~3.1) of J_nu zeros
+_MAX_GRID_ROWS = 10**6  # zero_approx_table refuses larger grids
 
 
 class EvalMethod(Enum):
@@ -315,10 +316,13 @@ def zero_approx_table(
         raise ValueError("nu_max must be >= 0 and nu_step > 0")
     if not isinstance(m_max, int) or m_max < 0:
         raise ValueError("m_max must be a non-negative integer")
+    steps = nu_max / nu_step
+    # "not <" also catches an inf or NaN ratio, which round() cannot take.
+    if not steps < _MAX_GRID_ROWS or (round(steps) + 1) * (m_max + 1) > _MAX_GRID_ROWS:
+        raise ValueError(f"nu_step is too small: the grid would hold more than {_MAX_GRID_ROWS} rows")
     rows = []
-    steps = int(round(nu_max / nu_step))
     with _sharing_zero_walks():
-        for i in range(steps + 1):
+        for i in range(round(steps) + 1):
             nu = i * nu_step
             for m in range(m_max + 1):
                 exact = bessel_zero(nu, m, ZeroApproxMode.EXACT)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .model import EnergyLevel, PhysicalParams, QuantumNumbers, bessel_order, validate
+from .model import EnergyLevel, PhysicalParams, QuantumNumbers, bessel_order
 from .specfun import ZeroApproxMode, _sharing_zero_walks, bessel_zero
 from .wells import BoundState, excited_state, ground_state
 
@@ -30,13 +30,6 @@ class Classification(Enum):
     BOUND = "bound"
     ZERO = "zero"
     POSITIVE = "positive"
-
-
-@dataclass(frozen=True)
-class ReferenceState:
-    """The (n_bar, m_bar) pair whose critical radius pins the cylinder."""
-
-    qn_bar: QuantumNumbers
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,6 @@ def radial_energy(
     mode: ZeroApproxMode = ZeroApproxMode.EXACT,
 ) -> float:
     """Radial level hbar^2 q^2 / (2 M R^2) with q the selected J_{n/B} zero."""
-    validate(params)
     nu = bessel_order(qn.n, params.deficit)
     q = bessel_zero(nu, qn.m, mode)
     return (params.hbar * q) ** 2 / (2.0 * params.mass * params.radius**2)
@@ -99,7 +91,6 @@ def critical_radius(
     round trip total_energy(radius=critical_radius(...), mode=MCMAHON) = 0
     holds to rounding error.
     """
-    validate(params)
     state = level_state(params, level)
     s = qn.n / (2.0 * params.deficit) + qn.m + 0.75
     return (
@@ -112,25 +103,25 @@ def critical_radius(
 
 def classify(
     params: PhysicalParams,
-    reference: ReferenceState,
+    reference: QuantumNumbers,
     qn: QuantumNumbers,
     level: EnergyLevel = EnergyLevel.GROUND,
 ) -> Classification:
     """Sign trichotomy of the total energy at the reference critical radius.
 
-    With the cylinder at the reference state's critical radius, the total
-    energy sign reduces to comparing n/(2B) + m against the reference value,
-    which is what this evaluates (the radius itself drops out).
+    ``reference`` is the (n_bar, m_bar) state whose critical radius pins the
+    cylinder. The total energy sign then reduces to comparing n/(2B) + m
+    against the reference value, which is what this evaluates (the radius
+    itself drops out).
     """
-    validate(params)
     level_state(params, level)  # excited reference requires existence
     return _inequality_classification(params.deficit, reference, qn)
 
 
 def _inequality_classification(
-    deficit: float, reference: ReferenceState, qn: QuantumNumbers
+    deficit: float, reference: QuantumNumbers, qn: QuantumNumbers
 ) -> Classification:
-    diff = (qn.n - reference.qn_bar.n) / (2.0 * deficit) + (qn.m - reference.qn_bar.m)
+    diff = (qn.n - reference.n) / (2.0 * deficit) + (qn.m - reference.m)
     if abs(diff) <= _EQ_TOL:
         return Classification.ZERO
     return Classification.BOUND if diff < 0 else Classification.POSITIVE
@@ -154,7 +145,6 @@ def spectrum_table(
     here is by the sign of the total energy (zero band relative to the
     radial part).
     """
-    validate(params)
     if not isinstance(n_max, int) or n_max < 0 or not isinstance(m_max, int) or m_max < 0:
         raise ValueError("n_max and m_max must be non-negative integers")
     levels = [ground_state(params)]
@@ -188,7 +178,7 @@ def spectrum_table(
 
 def classification_disagreements(
     params: PhysicalParams,
-    reference: ReferenceState,
+    reference: QuantumNumbers,
     level: EnergyLevel,
     n_max: int,
     m_max: int,
@@ -200,16 +190,11 @@ def classification_disagreements(
     can fall on the other side. This reports those states (cylinder radius
     set to the reference critical radius, exact zeros used for energies).
     """
-    pinned = replace(params, radius=critical_radius(params, reference.qn_bar, level))
-    state = level_state(pinned, level)  # one level solve serves every row
-    mismatches: list[QuantumNumbers] = []
-    with _sharing_zero_walks():
-        for n in range(n_max + 1):
-            for m in range(m_max + 1):
-                qn = QuantumNumbers(n, m)
-                by_inequality = _inequality_classification(params.deficit, reference, qn)
-                radial = radial_energy(pinned, qn, ZeroApproxMode.EXACT)
-                total = radial + state.energy
-                if _sign_classification(total, radial) is not by_inequality:
-                    mismatches.append(qn)
-    return mismatches
+    pinned = replace(params, radius=critical_radius(params, reference, level))
+    return [
+        entry.qn
+        for entry in spectrum_table(pinned, n_max, m_max)
+        if entry.level is level
+        and entry.classification
+        is not _inequality_classification(params.deficit, reference, entry.qn)
+    ]

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import EnergyLevel, PhysicalParams, coupling_strength_parameter, validate
+from .model import EnergyLevel, PhysicalParams, coupling_strength_parameter
 from .rootfind import Tolerances, refine_with_derivative
 
 # Existence is decided as c > 1/2 + guard; exactly at threshold the root is
@@ -82,11 +82,6 @@ def _g_slope(xi: float) -> float:
     return (e - 2.0 * xi * math.exp(-2.0 * xi)) / (e * e)
 
 
-def excited_state_exists(params: PhysicalParams) -> bool:
-    """Existence gate 2 M z0 coupling > hbar^2, i.e. c > 1/2 (with guard)."""
-    return coupling_strength_parameter(params) > 0.5 + EXISTENCE_GUARD
-
-
 def _bound_state_from_xi(params: PhysicalParams, level: EnergyLevel, xi: float) -> BoundState:
     energy = -(xi * xi * params.hbar * params.hbar) / (
         2.0 * params.mass * params.half_separation * params.half_separation
@@ -103,7 +98,6 @@ def ground_state(params: PhysicalParams) -> BoundState:
     Since xi/2 <= F(xi) < xi, the root always lies in [c, 2c], which is used
     as the bracket directly.
     """
-    validate(params)
     c = coupling_strength_parameter(params)
     result = refine_with_derivative(
         f=lambda t: f_profile(t) - c,
@@ -121,7 +115,6 @@ def excited_state(params: PhysicalParams) -> Optional[BoundState]:
     Non-existence is a valid outcome, not an error. Above threshold the root
     lies in [c - 1/2, c] because xi < G(xi) <= xi + 1/2.
     """
-    validate(params)
     c = coupling_strength_parameter(params)
     if c <= 0.5 + EXISTENCE_GUARD:
         return None
@@ -135,17 +128,3 @@ def excited_state(params: PhysicalParams) -> Optional[BoundState]:
         tol=_well_tol(c),
     )
     return _bound_state_from_xi(params, EnergyLevel.EXCITED, result.root)
-
-
-def analytic_limits(params: PhysicalParams, level: EnergyLevel) -> tuple[float, float]:
-    """Closed-form (z0 -> 0+, z0 -> inf) energy limits for the given level.
-
-    Ground: (-2 M coupling^2 / hbar^2, -M coupling^2 / (2 hbar^2)).
-    Excited: (0, -M coupling^2 / (2 hbar^2)).
-    """
-    validate(params)
-    scale = params.mass * params.coupling * params.coupling / (params.hbar * params.hbar)
-    far = -0.5 * scale
-    if level is EnergyLevel.GROUND:
-        return (-2.0 * scale, far)
-    return (0.0, far)

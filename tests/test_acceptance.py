@@ -23,7 +23,6 @@ from defectcyl import (
     EnergyLevel,
     PhysicalParams,
     QuantumNumbers,
-    ReferenceState,
     ZeroApproxMode,
     bessel_j,
     bessel_j_derivative,
@@ -209,7 +208,7 @@ def test_criterion_06_critical_radius_roundtrip():
 def test_criterion_07_classification_consistency():
     failures = []
     p = reference_params(half_separation=2.0)
-    ref = ReferenceState(QuantumNumbers(0, 1))
+    ref = QuantumNumbers(0, 1)
     expected = {
         (0, 0): Classification.BOUND,
         (1, 0): Classification.BOUND,
@@ -222,7 +221,7 @@ def test_criterion_07_classification_consistency():
         if got is not want:
             failures.append(f"({n},{m}) classified {got.value}, want {want.value}")
     for level in (EnergyLevel.GROUND, EnergyLevel.EXCITED):
-        pinned = replace(p, radius=critical_radius(p, ref.qn_bar, level))
+        pinned = replace(p, radius=critical_radius(p, ref, level))
         for n in range(4):
             for m in range(4):
                 qn = QuantumNumbers(n, m)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from defectcyl.cli import parse_config
+from defectcyl.cli import main, parse_config
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -140,6 +140,12 @@ class TestExitStatuses:
     def test_unknown_command_is_2(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
+
+    def test_compare_approx_grid_is_bounded(self, capsys):
+        # 6e300 orders would otherwise run without end
+        assert main(["compare-approx", "--nu-step", "1e-300", "--m-max", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nu_step" in err
 
     def test_spectrum_requires_m_max(self):
         proc = run_cli("spectrum", "--n-max", "1")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -44,6 +45,22 @@ class TestValidate:
         # mass precedes radius in field order
         with pytest.raises(ValueError, match="mass"):
             validate(make_params(mass=-1.0, radius=-1.0))
+
+    @pytest.mark.parametrize("field", ["mass", "coupling", "half_separation", "deficit", "radius", "hbar"])
+    def test_bool_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            make_params(**{field: True})
+
+
+class TestConstructionChecks:
+    def test_invalid_params_cannot_be_built(self):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            PhysicalParams(mass=-1.0, coupling=1.0, half_separation=1.0, deficit=1.0, radius=5.0)
+
+    def test_replace_checks_the_new_value(self):
+        p = make_params()
+        with pytest.raises(ValueError, match="radius must be positive"):
+            dataclasses.replace(p, radius=0.0)
 
 
 class TestQuantumNumbers:

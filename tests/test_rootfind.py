@@ -3,115 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from defectcyl import Tolerances, refine_with_derivative, solve_bracketed
+from defectcyl.rootfind import Tolerances, refine_with_derivative
 from defectcyl.specfun import bessel_j, bessel_j_derivative
 
 import oracles
 
 SQRT2 = 1.4142135623730951
-
-
-class TestSolveBracketed:
-    def test_sqrt_two_to_abscissa_tolerance(self):
-        # residual tolerance set below what doubles can reach, so the
-        # abscissa criterion governs and bisection runs to 1e-12 width
-        tol = Tolerances(abs_x=1e-12, abs_f=1e-16, max_iter=200)
-        result = solve_bracketed(lambda x: x * x - 2.0, 1.0, 2.0, tol)
-        assert result.root == pytest.approx(SQRT2, abs=1e-12)
-        assert result.bracket[1] - result.bracket[0] <= 1e-12
-
-    def test_linear(self):
-        result = solve_bracketed(lambda x: x - 3.0, 0.0, 10.0)
-        assert result.root == pytest.approx(3.0, abs=1e-9)
-
-    def test_no_sign_change(self):
-        with pytest.raises(ValueError, match="no sign change"):
-            solve_bracketed(lambda x: x * x + 1.0, 0.0, 1.0)
-
-    def test_endpoint_tie_lo(self):
-        result = solve_bracketed(lambda x: x - 1.0, 1.0, 2.0)
-        assert result.root == 1.0
-        assert result.residual == 0.0
-        assert result.iterations == 0
-
-    def test_endpoint_tie_hi(self):
-        result = solve_bracketed(lambda x: x - 2.0, 1.0, 2.0)
-        assert result.root == 2.0
-        assert result.residual == 0.0
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            solve_bracketed(lambda x: x, 2.0, 1.0)
-
-    def test_non_finite_endpoint(self):
-        f = lambda x: math.inf if x == 0.0 else 1.0 / x
-        with pytest.raises(ValueError):
-            solve_bracketed(f, 0.0, 1.0)
-
-    def test_max_iterations(self):
-        tol = Tolerances(abs_x=1e-300, abs_f=1e-300, max_iter=5)
-        with pytest.raises(RuntimeError, match="max iterations"):
-            solve_bracketed(lambda x: x - 3.0, 0.0, 10.0, tol)
-
-    def test_determinism(self):
-        f = lambda x: math.cos(x) - x
-        a = solve_bracketed(f, 0.0, 1.0)
-        b = solve_bracketed(f, 0.0, 1.0)
-        assert a == b
-
-    def test_result_invariants(self):
-        result = solve_bracketed(lambda x: math.cos(x) - x, 0.0, 1.0)
-        lo, hi = result.bracket
-        assert lo <= result.root <= hi
-        f = lambda x: math.cos(x) - x
-        assert result.residual == 0.0 or f(lo) * f(hi) <= 0.0
-
-    def test_bracket_halves_every_iteration(self):
-        tol = Tolerances(abs_x=1e-10, abs_f=1e-16)
-        result = solve_bracketed(lambda x: x * x - 2.0, 1.0, 2.0, tol)
-        width = result.bracket[1] - result.bracket[0]
-        assert width <= 1.0 * 0.5 ** (result.iterations // 2)
-
-    def test_evaluations_confined_to_initial_bracket(self):
-        seen = []
-
-        def f(x):
-            seen.append(x)
-            return math.cos(x) - x
-
-        solve_bracketed(f, 0.0, 1.0)
-        assert seen and all(0.0 <= x <= 1.0 for x in seen)
-
-    def test_sign_change_preserved_at_every_step(self):
-        # replay the evaluation sequence: each midpoint must fall inside the
-        # bracket implied by the previous sign-consistent endpoints
-        seen = []
-
-        def f(x):
-            value = math.cos(x) - x
-            seen.append((x, value))
-            return value
-
-        solve_bracketed(f, 0.0, 1.0)
-        lo, flo = seen[0]
-        hi, fhi = seen[1]
-        for x, value in seen[2:]:
-            assert lo < x < hi
-            assert flo * fhi < 0
-            if (value > 0) == (flo > 0):
-                lo, flo = x, value
-            else:
-                hi, fhi = x, value
-
-    @given(
-        st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
-        st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
-        st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
-    )
-    def test_recovers_known_root(self, root, below, above):
-        f = lambda x: (x - root) * (1.0 + 0.1 * (x - root) ** 2)
-        result = solve_bracketed(f, root - below, root + above)
-        assert abs(result.root - root) < 1e-7
 
 
 TIGHT = Tolerances(abs_x=1e-13, abs_f=1e-13)
@@ -148,8 +45,10 @@ class TestRefineWithDerivative:
         newton = refine_with_derivative(
             lambda x: x * x - 2.0, lambda x: 2.0 * x, 1.5, (1.0, 2.0), TIGHT
         )
-        bisected = solve_bracketed(lambda x: x * x - 2.0, 1.0, 2.0, TIGHT)
-        assert newton.iterations < bisected.iterations
+        # plain bisection halves [1, 2] 44 times before its width reaches 1e-13
+        halvings = math.ceil(math.log2((2.0 - 1.0) / TIGHT.abs_x))
+        assert halvings == 44
+        assert newton.iterations < halvings
 
     def test_seed_outside_guard(self):
         with pytest.raises(ValueError):

@@ -6,16 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from defectcyl import (
     EvalMethod,
-    Tolerances,
     ZeroApproxMode,
     bessel_j,
     bessel_j_derivative,
     bessel_zero,
     ln_gamma,
-    refine_with_derivative,
     zero_approx_table,
 )
 from defectcyl import specfun
+from defectcyl.rootfind import Tolerances, refine_with_derivative
 from defectcyl.specfun import (
     _asymptotic_value,
     _series_switch,
@@ -273,6 +272,13 @@ class TestZeroApproxTable:
 
     def test_determinism(self):
         assert zero_approx_table(1.0, 2) == zero_approx_table(1.0, 2)
+
+    def test_grid_size_is_bounded(self):
+        # 1001 orders x 1000 zeros is just over the 10**6-row limit
+        with pytest.raises(ValueError, match="nu_step"):
+            zero_approx_table(1000.0, 999, 1.0)
+        with pytest.raises(ValueError, match="nu_step"):
+            zero_approx_table(1e10, 0, 1e-300)
 
     def test_measured_error_envelope(self):
         # The closed-form estimate is weakest at the first zero of the

@@ -12,7 +12,6 @@ from defectcyl import (
     EnergyLevel,
     PhysicalParams,
     QuantumNumbers,
-    ReferenceState,
     ZeroApproxMode,
     bessel_zero,
     classification_disagreements,
@@ -134,7 +133,7 @@ class TestCriticalRadius:
 class TestClassify:
     def test_reference_origin_everything_positive(self):
         p = make_params()
-        ref = ReferenceState(QuantumNumbers(0, 0))
+        ref = QuantumNumbers(0, 0)
         for n in range(4):
             for m in range(4):
                 if (n, m) == (0, 0):
@@ -143,7 +142,7 @@ class TestClassify:
 
     def test_reference_zero_one_cases(self):
         p = make_params()
-        ref = ReferenceState(QuantumNumbers(0, 1))
+        ref = QuantumNumbers(0, 1)
         assert classify(p, ref, QuantumNumbers(0, 0)) is Classification.BOUND
         assert classify(p, ref, QuantumNumbers(1, 0)) is Classification.BOUND
         assert classify(p, ref, QuantumNumbers(2, 0)) is Classification.ZERO
@@ -152,28 +151,28 @@ class TestClassify:
 
     def test_reference_classifies_itself_zero(self):
         p = make_params(deficit=0.7)
-        ref = ReferenceState(QuantumNumbers(2, 1))
+        ref = QuantumNumbers(2, 1)
         assert classify(p, ref, QuantumNumbers(2, 1)) is Classification.ZERO
 
     def test_degeneracy_with_fractional_deficit(self):
         # with B = 1/2, one angular quantum weighs as much as one radial one
         p = make_params(deficit=0.5)
-        ref = ReferenceState(QuantumNumbers(0, 1))
+        ref = QuantumNumbers(0, 1)
         assert classify(p, ref, QuantumNumbers(1, 0)) is Classification.ZERO
         # and with B = 1/4 it weighs twice as much
         p = make_params(deficit=0.25)
-        ref = ReferenceState(QuantumNumbers(0, 2))
+        ref = QuantumNumbers(0, 2)
         assert classify(p, ref, QuantumNumbers(1, 0)) is Classification.ZERO
 
     def test_excited_level_requires_existence(self):
         p = make_params(half_separation=0.9)
         with pytest.raises(ValueError, match="excited state"):
-            classify(p, ReferenceState(QuantumNumbers(0, 0)), QuantumNumbers(1, 0), EnergyLevel.EXCITED)
+            classify(p, QuantumNumbers(0, 0), QuantumNumbers(1, 0), EnergyLevel.EXCITED)
 
     def test_sign_agreement_at_reference_radius(self):
         p = make_params()
-        ref = ReferenceState(QuantumNumbers(0, 1))
-        pinned = replace(p, radius=critical_radius(p, ref.qn_bar, EnergyLevel.GROUND))
+        ref = QuantumNumbers(0, 1)
+        pinned = replace(p, radius=critical_radius(p, ref, EnergyLevel.GROUND))
         for n in range(4):
             for m in range(4):
                 qn = QuantumNumbers(n, m)
@@ -283,7 +282,7 @@ class TestWorkCeilings:
         assert jnu_calls[0] <= 1638
 
     def test_classification_disagreements(self, jnu_calls):
-        reference = ReferenceState(QuantumNumbers(0, 3))
+        reference = QuantumNumbers(0, 3)
         classification_disagreements(make_params(deficit=0.8), reference, EnergyLevel.GROUND, 10, 10)
         assert jnu_calls[0] <= 2051
 
@@ -370,13 +369,13 @@ class TestClassificationDisagreements:
         # exact zeros land the two zero-locus states on opposite sides of the
         # closed-form boundary: (0,1) slightly unbound, (2,0) slightly bound
         p = make_params()
-        ref = ReferenceState(QuantumNumbers(0, 1))
+        ref = QuantumNumbers(0, 1)
         mismatches = classification_disagreements(p, ref, EnergyLevel.GROUND, 3, 3)
         assert mismatches == [QuantumNumbers(0, 1), QuantumNumbers(2, 0)]
 
     def test_no_disagreement_far_from_boundary(self):
         p = make_params()
-        ref = ReferenceState(QuantumNumbers(0, 1))
+        ref = QuantumNumbers(0, 1)
         mismatches = classification_disagreements(p, ref, EnergyLevel.GROUND, 3, 3)
         assert QuantumNumbers(0, 0) not in mismatches
         assert QuantumNumbers(3, 3) not in mismatches

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from defectcyl import (
-    EnergyLevel,
     PhysicalParams,
-    analytic_limits,
     coupling_strength_parameter,
     excited_state,
-    excited_state_exists,
     f_profile,
     g_profile,
     ground_state,
@@ -152,7 +149,6 @@ class TestGroundState:
 class TestExcitedState:
     def test_absent_below_threshold(self):
         assert excited_state(make_params(half_separation=0.9)) is None
-        assert not excited_state_exists(make_params(half_separation=0.9))
 
     def test_threshold_is_strict(self):
         # exactly at threshold the would-be level has zero binding
@@ -235,20 +231,3 @@ class TestLevelStructure:
         ea, eb = excited_state(a), excited_state(b)
         assert ea.xi == eb.xi
         assert ea.h_factor == eb.h_factor
-
-
-class TestAnalyticLimits:
-    def test_ground_limits_reference_convention(self):
-        assert analytic_limits(make_params(), EnergyLevel.GROUND) == (-1.0, -0.25)
-
-    def test_excited_limits_reference_convention(self):
-        assert analytic_limits(make_params(), EnergyLevel.EXCITED) == (0.0, -0.25)
-
-    def test_scaled_parameters(self):
-        p = make_params(mass=1.0, coupling=2.0)
-        assert analytic_limits(p, EnergyLevel.GROUND) == (-8.0, -2.0)
-
-    def test_limits_bracket_solver_output(self):
-        p = make_params(half_separation=0.37)
-        close, far = analytic_limits(p, EnergyLevel.GROUND)
-        assert close < ground_state(p).energy < far
