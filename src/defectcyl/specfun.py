@@ -81,11 +81,15 @@ def ln_gamma(x: float) -> float:
     return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)
 
 
-def _series_value(nu: float, q: float) -> tuple[float, int, float]:
+def _series_value(
+    nu: float, q: float, beaten_at: float = math.inf
+) -> tuple[float, int, float] | None:
     """Ascending power series sum((-1)^j (q/2)^(nu+2j) / (j! Gamma(j+nu+1))).
 
     Returns (value, term count, error estimate); the estimate is the peak
     term magnitude scaled by machine epsilon, i.e. the cancellation floor.
+    Returns None instead, without summing the rest, once the estimate is
+    known not to be below beaten_at.
     """
     half = 0.5 * q
     if half == 0.0:  # includes the smallest subnormal q, whose half rounds to 0
@@ -96,18 +100,37 @@ def _series_value(nu: float, q: float) -> tuple[float, int, float]:
     term = math.exp(log_lead)
     total = term
     peak = abs(term)
-    count = 1
     half_sq = half * half
+    # Rising phase: |term| grows while the ratio r exceeds 1. The computed
+    # denominators j*(j+nu) only grow, so once a computed r is <= 1 every
+    # later one is too, and by monotone rounding each later |term| is at most
+    # the one before: the peak is final and no later term can overflow. The
+    # step that first sees r <= 1 still runs the checks, so a NaN leading
+    # term still raises at j = 1.
+    falling_from = _SERIES_MAX_TERMS
     for j in range(1, _SERIES_MAX_TERMS):
-        term *= -half_sq / (j * (j + nu))
+        r = half_sq / (j * (j + nu))
+        term *= -r
         if not math.isfinite(term):
             raise OverflowError("series term exceeds the double-precision range")
         total += term
-        peak = max(peak, abs(term))
-        count += 1
+        size = abs(term)
+        if size > peak:
+            peak = size
+        if size <= _SERIES_CUTOFF * abs(total):
+            break
+        if r <= 1.0:
+            falling_from = j + 1
+            break
+    err = peak * 2.3e-16
+    if not err < beaten_at:
+        return None
+    for j in range(falling_from, _SERIES_MAX_TERMS):
+        term *= -half_sq / (j * (j + nu))
+        total += term
         if abs(term) <= _SERIES_CUTOFF * abs(total):
             break
-    return total, count, peak * 2.3e-16
+    return total, j + 1, err  # terms 0..j were summed
 
 
 def _asymptotic_value(nu: float, q: float) -> tuple[float, float]:
@@ -124,22 +147,28 @@ def _asymptotic_value(nu: float, q: float) -> tuple[float, float]:
     u = 1.0
     prev = math.inf
     tail = 0.0
+    eight_q = 8.0 * q  # exact, so k * eight_q rounds to the same double as 8k * q
     for k in range(1, 40):
         odd = 2 * k - 1
-        u *= (mu - odd * odd) / (8.0 * k * q)
+        u *= (mu - odd * odd) / (k * eight_q)
         if u == 0.0:
             tail = 0.0
             break
-        if abs(u) >= prev:  # divergence onset; best truncation is before this term
-            tail = abs(u)
+        size = abs(u)
+        if size >= prev:  # divergence onset; best truncation is before this term
+            tail = size
             break
-        if k % 2 == 1:
-            q_sum += u if (k % 4 == 1) else -u
+        phase = k & 3
+        if phase == 1:
+            q_sum += u
+        elif phase == 2:
+            p_sum -= u
+        elif phase == 3:
+            q_sum -= u
         else:
-            p_sum += u if (k % 4 == 0) else -u
-        prev = abs(u)
-        tail = prev
-        if prev < 1e-17:
+            p_sum += u
+        prev = tail = size
+        if size < 1e-17:
             break
     amplitude = math.sqrt(2.0 / (math.pi * q))
     value = amplitude * (math.cos(omega) * p_sum - math.sin(omega) * q_sum)
@@ -171,12 +200,11 @@ def bessel_j(nu: float, q: float) -> BesselEval:
     if nu > 8.0 and q < 0.25 * nu * nu:
         # transition window for large orders: neither branch is guaranteed
         try:
-            value, count, series_err = _series_value(nu, q)
+            series = _series_value(nu, q, beaten_at=asym_err)
         except OverflowError:
-            pass
-        else:
-            if series_err < asym_err:
-                return BesselEval(value=value, method=EvalMethod.SERIES, term_count=count)
+            series = None
+        if series is not None:
+            return BesselEval(value=series[0], method=EvalMethod.SERIES, term_count=series[1])
     return BesselEval(value=asym, method=EvalMethod.ASYMPTOTIC, term_count=0)
 
 

@@ -118,7 +118,8 @@ def excited_state(params: PhysicalParams) -> Optional[BoundState]:
     c = coupling_strength_parameter(params)
     if c <= 0.5 + EXISTENCE_GUARD:
         return None
-    lo = max(1e-300, c - 0.5)
+    # Above c ~ 4.5e15, c - 0.5 rounds to c; the root is then xi = c itself.
+    lo = max(1e-300, min(c - 0.5, math.nextafter(c, 0.0)))
     seed = min(2.0 * (c - 0.5), 0.5 * (lo + c))
     result = refine_with_derivative(
         f=lambda t: g_profile(t) - c,

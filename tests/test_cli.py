@@ -181,6 +181,11 @@ class TestBoundStatesCommand:
         rows = parse_csv(proc.stdout)
         assert [r["level"] for r in rows] == ["ground", "excited"]
 
+    def test_excited_level_at_huge_coupling(self, capsys):
+        assert main(["bound-states", "--coupling", "2e16"]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert [r["level"] for r in rows] == ["ground", "excited"]
+
     def test_csv_json_numeric_agreement(self):
         as_csv = parse_csv(run_cli("bound-states", "--z0", "2").stdout)
         as_json = json.loads(run_cli("bound-states", "--z0", "2", "--output", "json").stdout)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -120,6 +121,131 @@ class TestBesselJ:
     def test_bounded_magnitude(self, nu, q):
         # |J_nu| never exceeds 1 for nu >= 0
         assert abs(bessel_j(nu, q).value) <= 1.0 + 1e-9
+
+
+# The single-loop kernel as it was before the series was split at its peak and
+# the losing window branch was stopped early; the split must not move one bit.
+def _reference_series_value(nu, q):
+    half = 0.5 * q
+    if half == 0.0:  # includes the smallest subnormal q, whose half rounds to 0
+        return (1.0 if nu == 0.0 else 0.0), 1, 0.0
+    log_lead = nu * math.log(half) - ln_gamma(nu + 1.0)
+    if log_lead > specfun._MAX_EXPONENT:
+        raise OverflowError("leading series term exceeds the double-precision range")
+    term = math.exp(log_lead)
+    total = term
+    peak = abs(term)
+    count = 1
+    half_sq = half * half
+    for j in range(1, specfun._SERIES_MAX_TERMS):
+        term *= -half_sq / (j * (j + nu))
+        if not math.isfinite(term):
+            raise OverflowError("series term exceeds the double-precision range")
+        total += term
+        peak = max(peak, abs(term))
+        count += 1
+        if abs(term) <= specfun._SERIES_CUTOFF * abs(total):
+            break
+    return total, count, peak * 2.3e-16
+
+
+def _reference_asymptotic_value(nu, q):
+    mu = 4.0 * nu * nu
+    omega = q - nu * math.pi / 2.0 - math.pi / 4.0
+    p_sum = 1.0
+    q_sum = 0.0
+    u = 1.0
+    prev = math.inf
+    tail = 0.0
+    for k in range(1, 40):
+        odd = 2 * k - 1
+        u *= (mu - odd * odd) / (8.0 * k * q)
+        if u == 0.0:
+            tail = 0.0
+            break
+        if abs(u) >= prev:  # divergence onset; best truncation is before this term
+            tail = abs(u)
+            break
+        if k % 2 == 1:
+            q_sum += u if (k % 4 == 1) else -u
+        else:
+            p_sum += u if (k % 4 == 0) else -u
+        prev = abs(u)
+        tail = prev
+        if prev < 1e-17:
+            break
+    amplitude = math.sqrt(2.0 / (math.pi * q))
+    value = amplitude * (math.cos(omega) * p_sum - math.sin(omega) * q_sum)
+    return value, amplitude * tail
+
+
+def _reference_bessel_j(nu, q):
+    """(value, method, term_count) as the single-loop kernel computed them."""
+    if q <= _series_switch(nu):
+        value, count, _ = _reference_series_value(nu, q)
+        return value, EvalMethod.SERIES, count
+    asym, asym_err = _reference_asymptotic_value(nu, q)
+    if nu > 8.0 and q < 0.25 * nu * nu:
+        try:
+            value, count, series_err = _reference_series_value(nu, q)
+        except OverflowError:
+            pass
+        else:
+            if series_err < asym_err:
+                return value, EvalMethod.SERIES, count
+    return asym, EvalMethod.ASYMPTOTIC, 0
+
+
+def _outcome(call, *args):
+    try:
+        value, method, count = call(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return value.hex(), method, count  # hex: -0.0 and 0.0 differ
+
+
+def _kernel_grid():
+    rng = random.Random(2018)
+    # the leading series term overflows: in the series range, then in the
+    # window; a later series term overflows in the window
+    cases = [(3000.0, 3008.0), (700.0, 1500.0), (150.0, 1000.0)]
+    for i in range(10000):
+        nu = float(rng.randint(0, 100)) if i % 2 else rng.uniform(0.0, 100.0)
+        cases.append((nu, rng.uniform(0.0, 200.0)))
+    for i in range(101):
+        nu = float(i) if i % 2 else i + rng.random()
+        s = _series_switch(nu)
+        window_top = math.nextafter(0.25 * nu * nu, 0.0)
+        for q in (0.0, 5e-324, s, math.nextafter(s, 0.0), math.nextafter(s, math.inf), window_top):
+            cases.append((nu, q))
+    return cases
+
+
+class TestKernelBitIdentity:
+    def test_matches_the_single_loop_kernel(self):
+        def split(nu, q):
+            ev = bessel_j(nu, q)
+            return ev.value, ev.method, ev.term_count
+
+        mismatches = [
+            (nu, q)
+            for nu, q in _kernel_grid()
+            if _outcome(split, nu, q) != _outcome(_reference_bessel_j, nu, q)
+        ]
+        assert mismatches == []
+
+    def test_grid_reaches_every_window_outcome(self):
+        outcomes = set()
+        for nu, q in _kernel_grid():
+            if nu > 8.0 and _series_switch(nu) < q < 0.25 * nu * nu:
+                _, asym_err = _asymptotic_value(nu, q)
+                try:
+                    series = _series_value(nu, q, beaten_at=asym_err)
+                except OverflowError:
+                    outcomes.add("overflow")
+                    continue
+                outcomes.add("series" if series is not None else "stopped early")
+        assert outcomes == {"series", "stopped early", "overflow"}
 
 
 class TestBesselDerivative:

@@ -379,3 +379,8 @@ class TestClassificationDisagreements:
         mismatches = classification_disagreements(p, ref, EnergyLevel.GROUND, 3, 3)
         assert QuantumNumbers(0, 0) not in mismatches
         assert QuantumNumbers(3, 3) not in mismatches
+
+    def test_ground_audit_at_huge_coupling(self):
+        # c = 1e16: the audit also solves the excited level, which saturates there
+        p = make_params(coupling=1e16)
+        assert isinstance(classification_disagreements(p, QuantumNumbers(0, 1), EnergyLevel.GROUND, 2, 2), list)

@@ -188,6 +188,13 @@ class TestExcitedState:
             s = excited_state(make_params(half_separation=z0))
             assert 0.0 < s.h_factor < 0.5
 
+    def test_saturates_where_c_minus_half_rounds_to_c(self):
+        # from c ~ 4.5e15 on, c - 1/2 rounds to c and the root is xi = c
+        p = make_params(mass=1.0, coupling=2e16)
+        state = excited_state(p)
+        assert state.xi == coupling_strength_parameter(p) == 2e16
+        assert state.h_factor == 0.5
+
 
 class TestLevelStructure:
     def test_ordering_where_both_exist(self):
