@@ -2,9 +2,11 @@
 
 Everything here is self-contained double precision. J_nu is evaluated from
 its ascending power series for moderate arguments and from the standard
-large-argument cosine expansion beyond that; zeros are located by walking
-sign changes and polishing them with the safeguarded Newton solver. A table
-call walks each order once and polishes a bracket only when its zero is asked for.
+large-argument cosine expansion beyond that, directly or, where the expansion
+is not sharp at order nu, at two low orders followed by upward recurrence.
+Zeros are located by walking sign changes and polishing them with the
+safeguarded Newton solver. A table call walks each order once and polishes a
+bracket only when its zero is asked for.
 """
 
 from __future__ import annotations
@@ -36,8 +38,11 @@ _HALF_LOG_TWO_PI = 0.9189385332046727
 _MAX_EXPONENT = 709.0  # exp() overflows just past this
 _SERIES_CUTOFF = 1e-16
 _SERIES_MAX_TERMS = 500
+_RECURRENCE_MAX_STEPS = 10**4  # upward steps from order frac(nu) + 1 to nu
 _WALK_STEP = math.pi / 4.0  # well below the minimal spacing (~3.1) of J_nu zeros
 _MAX_GRID_ROWS = 10**6  # zero_approx_table refuses larger grids
+_ZERO_TOL = Tolerances(abs_x=1e-13, abs_f=1e-12, max_iter=200)
+_J_TARGET = _ZERO_TOL.abs_f  # each J_nu branch past the series must meet the polish's target
 
 
 class EvalMethod(Enum):
@@ -175,37 +180,45 @@ def _asymptotic_value(nu: float, q: float) -> tuple[float, float]:
     return value, amplitude * tail
 
 
-def _series_switch(nu: float) -> float:
-    return max(12.0, nu + 8.0)
+def _upward_recurrence(nu: float, q: float) -> float:
+    """J_nu(q) for nu >= 1 from the large-argument expansion at orders frac(nu)
+    and frac(nu) + 1, then J_{k+1} = (2k/q) J_k - J_{k-1}; stable for nu < q."""
+    whole = int(nu)
+    if whole - 1 > _RECURRENCE_MAX_STEPS:
+        raise OverflowError(f"order {nu!r} needs more than {_RECURRENCE_MAX_STEPS} recurrence steps")
+    frac = nu - whole
+    lower, upper = _asymptotic_value(frac, q)[0], _asymptotic_value(frac + 1.0, q)[0]
+    for k in range(1, whole):
+        lower, upper = upper, (2.0 * (frac + k) / q) * upper - lower
+    return upper
 
 
 def bessel_j(nu: float, q: float) -> BesselEval:
     """Evaluate J_nu(q) for nu >= 0, q >= 0.
 
-    The power series is used for q <= max(12, nu + 8), where it needs few
-    terms and loses little to cancellation; beyond that the large-argument
-    expansion takes over. For orders above ~8 the expansion only converges
-    from q ~ nu^2/4, so in between the branch with the smaller internal
-    error estimate wins. Orders beyond ~50 are outside the tested envelope
-    and can trip the series overflow guard at intermediate arguments.
+    The power series is used for q <= max(12, nu). Beyond that each cheap
+    branch runs only if its own error estimate meets the zero polish's
+    residual target (1e-12): the series up to q = nu + 8, then the
+    large-argument expansion at order nu. Otherwise that expansion at orders
+    frac(nu) and frac(nu) + 1 feeds upward recurrence to nu, stable because
+    every order stays below q. Above order ~30 the series at q <= nu loses
+    digits (4e-7 at nu = 50).
     """
     if not (nu >= 0) or not math.isfinite(nu):
         raise ValueError("nu must be non-negative and finite")
     if not (q >= 0) or not math.isfinite(q):
         raise ValueError("q must be non-negative and finite")
-    if q <= _series_switch(nu):
+    if q <= 12.0 or q <= nu:
         value, count, _ = _series_value(nu, q)
         return BesselEval(value=value, method=EvalMethod.SERIES, term_count=count)
-    asym, asym_err = _asymptotic_value(nu, q)
-    if nu > 8.0 and q < 0.25 * nu * nu:
-        # transition window for large orders: neither branch is guaranteed
-        try:
-            series = _series_value(nu, q, beaten_at=asym_err)
-        except OverflowError:
-            series = None
+    if q <= nu + 8.0:
+        series = _series_value(nu, q, beaten_at=_J_TARGET)
         if series is not None:
             return BesselEval(value=series[0], method=EvalMethod.SERIES, term_count=series[1])
-    return BesselEval(value=asym, method=EvalMethod.ASYMPTOTIC, term_count=0)
+    value, err = _asymptotic_value(nu, q)
+    if not err <= _J_TARGET and nu >= 1.0:  # below order 1 the recurrence takes no step
+        value = _upward_recurrence(nu, q)
+    return BesselEval(value=value, method=EvalMethod.ASYMPTOTIC, term_count=0)
 
 
 def _j(nu: float, q: float) -> float:
@@ -217,9 +230,6 @@ def bessel_j_derivative(nu: float, q: float) -> float:
     if not (q > 0) or not math.isfinite(q):
         raise ValueError("bessel_j_derivative requires q > 0")
     return (nu / q) * _j(nu, q) - _j(nu + 1.0, q)
-
-
-_ZERO_TOL = Tolerances(abs_x=1e-13, abs_f=1e-12, max_iter=200)
 
 
 class _ZeroWalk:

@@ -89,6 +89,8 @@ def _bound_state_from_xi(params: PhysicalParams, level: EnergyLevel, xi: float) 
     h_factor = abs(energy) * params.hbar * params.hbar / (
         params.mass * params.coupling * params.coupling
     )
+    if not (math.isfinite(energy) and math.isfinite(h_factor)):
+        raise OverflowError(f"the {level.value} level energy exceeds the double-precision range")
     return BoundState(level=level, energy=energy, xi=xi, h_factor=h_factor)
 
 

@@ -167,6 +167,22 @@ class TestExitStatuses:
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bound-states", "--coupling", "1e160"],
+            ["spectrum", "--coupling", "1e160", "--n-max", "0", "--m-max", "0"],
+            ["critical-radius", "--n", "0", "--m", "0", "--level", "ground", "--coupling", "1e300"],
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_level_energy_overflow_is_1(self, capsys, args):
+        # these once printed -inf or nan with exit 0
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "double-precision range" in err
+
 
 class TestBoundStatesCommand:
     def test_json_reports_missing_excited_as_null(self):
@@ -332,6 +348,13 @@ class TestOutputs:
         rows = parse_csv(run_cli("eval-bessel", "--nu", "0.5", "--q", "30").stdout)
         assert rows[0]["method"] == "asymptotic"
         assert rows[0]["term_count"] == "0"
+
+    def test_eval_bessel_between_series_and_expansion(self, capsys):
+        # a point where neither the series nor the expansion at order nu is
+        # sharp; the value once printed was -0.7936
+        assert main(["eval-bessel", "--nu", "27.799853473846728", "--q", "52.66620623192793"]) == 0
+        row = parse_csv(capsys.readouterr().out)[0]
+        assert float(row["value"]) == pytest.approx(-0.1192484345730, abs=1e-10)
 
     def test_compare_approx_errors_match_table_contract(self):
         rows = parse_csv(run_cli("compare-approx", "--nu-max", "1", "--m-max", "2").stdout)

@@ -49,7 +49,7 @@ def test_deep_zero_against_scipy():
 
 
 def test_fractional_order_zeros_against_brentq():
-    for nu in (0.5, 1.5, 2.7, 5.25):
+    for nu in (0.5, 1.5, 2.7, 5.25, 12.7, 18.3, 24.6, 27.8, 30.0):
         for m in range(5):
             mine = bessel_zero(nu, m)
             ref = optimize.brentq(

@@ -1,9 +1,11 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import jv
 
 from defectcyl import (
     EvalMethod,
@@ -18,7 +20,6 @@ from defectcyl import specfun
 from defectcyl.rootfind import Tolerances, refine_with_derivative
 from defectcyl.specfun import (
     _asymptotic_value,
-    _series_switch,
     _series_value,
     _sharing_zero_walks,
     _ZeroWalk,
@@ -92,7 +93,7 @@ class TestBesselJ:
 
     def test_branch_agreement_at_switch(self):
         for nu in (0.0, 0.5, 1.0, 2.7):
-            switch = _series_switch(nu)
+            switch = max(12.0, nu)
             for q in np.linspace(switch - 0.5, switch + 0.5, 11):
                 s, _, _ = _series_value(nu, float(q))
                 a, _ = _asymptotic_value(nu, float(q))
@@ -123,129 +124,91 @@ class TestBesselJ:
         assert abs(bessel_j(nu, q).value) <= 1.0 + 1e-9
 
 
-# The single-loop kernel as it was before the series was split at its peak and
-# the losing window branch was stopped early; the split must not move one bit.
-def _reference_series_value(nu, q):
-    half = 0.5 * q
-    if half == 0.0:  # includes the smallest subnormal q, whose half rounds to 0
-        return (1.0 if nu == 0.0 else 0.0), 1, 0.0
-    log_lead = nu * math.log(half) - ln_gamma(nu + 1.0)
-    if log_lead > specfun._MAX_EXPONENT:
-        raise OverflowError("leading series term exceeds the double-precision range")
-    term = math.exp(log_lead)
-    total = term
-    peak = abs(term)
-    count = 1
-    half_sq = half * half
-    for j in range(1, specfun._SERIES_MAX_TERMS):
-        term *= -half_sq / (j * (j + nu))
-        if not math.isfinite(term):
-            raise OverflowError("series term exceeds the double-precision range")
-        total += term
-        peak = max(peak, abs(term))
-        count += 1
-        if abs(term) <= specfun._SERIES_CUTOFF * abs(total):
-            break
-    return total, count, peak * 2.3e-16
+def _allowed(nu, q):
+    """|J_nu(q) - oracle| bound for nu <= 30. Above the series switch each
+    branch runs only where its error estimate is within 1e-12, and orders <= 8
+    are that close everywhere (dense grids measured up to 1.15e-12); below the
+    switch the series loses digits as the order grows (1.65e-11 near
+    nu = q = 30)."""
+    return 1.5e-12 if nu <= 8.0 or q > max(12.0, nu) else 2e-11
 
 
-def _reference_asymptotic_value(nu, q):
-    mu = 4.0 * nu * nu
-    omega = q - nu * math.pi / 2.0 - math.pi / 4.0
-    p_sum = 1.0
-    q_sum = 0.0
-    u = 1.0
-    prev = math.inf
-    tail = 0.0
-    for k in range(1, 40):
-        odd = 2 * k - 1
-        u *= (mu - odd * odd) / (8.0 * k * q)
-        if u == 0.0:
-            tail = 0.0
-            break
-        if abs(u) >= prev:  # divergence onset; best truncation is before this term
-            tail = abs(u)
-            break
-        if k % 2 == 1:
-            q_sum += u if (k % 4 == 1) else -u
-        else:
-            p_sum += u if (k % 4 == 0) else -u
-        prev = abs(u)
-        tail = prev
-        if prev < 1e-17:
-            break
-    amplitude = math.sqrt(2.0 / (math.pi * q))
-    value = amplitude * (math.cos(omega) * p_sum - math.sin(omega) * q_sum)
-    return value, amplitude * tail
-
-
-def _reference_bessel_j(nu, q):
-    """(value, method, term_count) as the single-loop kernel computed them."""
-    if q <= _series_switch(nu):
-        value, count, _ = _reference_series_value(nu, q)
-        return value, EvalMethod.SERIES, count
-    asym, asym_err = _reference_asymptotic_value(nu, q)
-    if nu > 8.0 and q < 0.25 * nu * nu:
-        try:
-            value, count, series_err = _reference_series_value(nu, q)
-        except OverflowError:
-            pass
-        else:
-            if series_err < asym_err:
-                return value, EvalMethod.SERIES, count
-    return asym, EvalMethod.ASYMPTOTIC, 0
-
-
-def _outcome(call, *args):
-    try:
-        value, method, count = call(*args)
-    except (OverflowError, ValueError) as exc:
-        return type(exc), str(exc)
-    return value.hex(), method, count  # hex: -0.0 and 0.0 differ
-
-
-def _kernel_grid():
+def _oracle_grid():
     rng = random.Random(2018)
-    # the leading series term overflows: in the series range, then in the
-    # window; a later series term overflows in the window
-    cases = [(3000.0, 3008.0), (700.0, 1500.0), (150.0, 1000.0)]
-    for i in range(10000):
-        nu = float(rng.randint(0, 100)) if i % 2 else rng.uniform(0.0, 100.0)
-        cases.append((nu, rng.uniform(0.0, 200.0)))
-    for i in range(101):
-        nu = float(i) if i % 2 else i + rng.random()
-        s = _series_switch(nu)
-        window_top = math.nextafter(0.25 * nu * nu, 0.0)
-        for q in (0.0, 5e-324, s, math.nextafter(s, 0.0), math.nextafter(s, math.inf), window_top):
-            cases.append((nu, q))
-    return cases
+    orders = [float(k) for k in range(31)] + [k + 0.37 for k in range(30)] + [29.9, 30.0]
+    grid = [(nu, 0.25 * i) for nu in orders for i in range(601)]
+    grid += [(rng.uniform(0.0, 30.0), rng.uniform(0.0, 150.0)) for _ in range(5000)]
+    return grid
 
 
-class TestKernelBitIdentity:
-    def test_matches_the_single_loop_kernel(self):
-        def split(nu, q):
-            ev = bessel_j(nu, q)
-            return ev.value, ev.method, ev.term_count
+def _branch_taken(monkeypatch, nu, q):
+    """The bessel_j branch that produced J_nu(q), and the value."""
+    taken = []
+    series, recurrence = specfun._series_value, specfun._upward_recurrence
 
-        mismatches = [
-            (nu, q)
-            for nu, q in _kernel_grid()
-            if _outcome(split, nu, q) != _outcome(_reference_bessel_j, nu, q)
+    def spy_series(*args, **kwargs):
+        result = series(*args, **kwargs)
+        if result is not None:
+            taken.append("series within its estimate" if "beaten_at" in kwargs else "series")
+        return result
+
+    def spy_recurrence(*args):
+        taken.append("recurrence")
+        return recurrence(*args)
+
+    monkeypatch.setattr(specfun, "_series_value", spy_series)
+    monkeypatch.setattr(specfun, "_upward_recurrence", spy_recurrence)
+    ev = bessel_j(nu, q)
+    return taken or ["expansion at nu"], ev
+
+
+class TestBesselOracle:
+    def test_scipy_grid_up_to_order_30(self):
+        grid = _oracle_grid()
+        ref = jv(np.array([nu for nu, _ in grid]), np.array([q for _, q in grid]))
+        misses = [
+            (nu, q, err)
+            for (nu, q), r in zip(grid, ref)
+            if not (err := abs(bessel_j(nu, q).value - r)) <= _allowed(nu, q)
         ]
-        assert mismatches == []
+        assert misses == []
 
-    def test_grid_reaches_every_window_outcome(self):
-        outcomes = set()
-        for nu, q in _kernel_grid():
-            if nu > 8.0 and _series_switch(nu) < q < 0.25 * nu * nu:
-                _, asym_err = _asymptotic_value(nu, q)
-                try:
-                    series = _series_value(nu, q, beaten_at=asym_err)
-                except OverflowError:
-                    outcomes.add("overflow")
-                    continue
-                outcomes.add("series" if series is not None else "stopped early")
-        assert outcomes == {"series", "stopped early", "overflow"}
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 3.3, 7.9, 11.2, 12.0, 16.4, 22.7, 29.5, 30.0])
+    def test_mpmath_at_branch_boundaries(self, nu):
+        switch = max(12.0, nu)
+        for q in (math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf), nu + 8.0):
+            exact = float(mpmath.besselj(nu, mpmath.mpf(q)))
+            assert abs(bessel_j(nu, q).value - exact) <= _allowed(nu, q)
+
+    @pytest.mark.parametrize(
+        "nu,q,branch",
+        [
+            (5.0, 10.0, "series"),
+            (20.0, 21.0, "series within its estimate"),
+            (1.0, 60.0, "expansion at nu"),
+            (20.0, 40.0, "recurrence"),
+            (20.0, 24.0, "recurrence"),  # the series misses its target here
+        ],
+    )
+    def test_each_branch_is_reached(self, monkeypatch, nu, q, branch):
+        taken, ev = _branch_taken(monkeypatch, nu, q)
+        assert taken == [branch]
+        assert (ev.method is EvalMethod.SERIES) == branch.startswith("series")
+        assert abs(ev.value - float(mpmath.besselj(nu, q))) <= 1e-12
+
+    def test_recurrence_is_bounded(self):
+        steps = specfun._RECURRENCE_MAX_STEPS
+        nu = steps + 1.0  # the largest order the recurrence takes
+        assert abs(bessel_j(nu, 2.0 * nu).value - jv(nu, 2.0 * nu)) <= 1e-12
+        with pytest.raises(OverflowError, match="order 10002.0 "):
+            bessel_j(nu + 1.0, 2.0 * nu)
+
+    def test_huge_order_raises_promptly(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(specfun, "_asymptotic_value", lambda *a: steps.append(a) or (0.0, math.inf))
+        with pytest.raises(OverflowError, match="recurrence steps"):
+            bessel_j(1e15, 2e15)
+        assert len(steps) == 1  # only the expansion at order nu was tried
 
 
 class TestBesselDerivative:

@@ -275,7 +275,7 @@ class TestWorkCeilings:
     # code gets cheaper; raising one needs a stated reason in CHANGES.md.
     def test_reference_table(self, jnu_calls):
         spectrum_table(make_params(deficit=0.8), 10, 10)
-        assert jnu_calls[0] <= 2051
+        assert jnu_calls[0] <= 1382
 
     def test_zero_approx_grid(self, jnu_calls):
         zero_approx_table(6.0, 10, 0.5)
@@ -284,7 +284,7 @@ class TestWorkCeilings:
     def test_classification_disagreements(self, jnu_calls):
         reference = QuantumNumbers(0, 3)
         classification_disagreements(make_params(deficit=0.8), reference, EnergyLevel.GROUND, 10, 10)
-        assert jnu_calls[0] <= 2051
+        assert jnu_calls[0] <= 1382
 
 
 _FRESH_ZERO_COUNT = """

@@ -238,3 +238,9 @@ class TestLevelStructure:
         ea, eb = excited_state(a), excited_state(b)
         assert ea.xi == eb.xi
         assert ea.h_factor == eb.h_factor
+
+    @pytest.mark.parametrize("solve", [ground_state, excited_state])
+    def test_energy_beyond_double_range_raises(self, solve):
+        # xi = c = 2.5e159 solves both levels, but xi^2 overflows the energy
+        with pytest.raises(OverflowError, match="double-precision range"):
+            solve(make_params(coupling=1e160))
