@@ -15,7 +15,6 @@ from .specfun import (
     bessel_j,
     bessel_j_derivative,
     bessel_zero,
-    ln_gamma,
     zero_approx_table,
 )
 from .spectrum import (
@@ -28,7 +27,7 @@ from .spectrum import (
     spectrum_table,
     total_energy,
 )
-from .wells import BoundState, excited_state, f_profile, g_profile, ground_state
+from .wells import BoundState, excited_state, ground_state
 
 __version__ = "0.1.0"
 
@@ -51,10 +50,7 @@ __all__ = [
     "coupling_strength_parameter",
     "critical_radius",
     "excited_state",
-    "f_profile",
-    "g_profile",
     "ground_state",
-    "ln_gamma",
     "radial_energy",
     "spectrum_table",
     "total_energy",

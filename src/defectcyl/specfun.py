@@ -1,4 +1,4 @@
-"""Special-function kernel: log-gamma, fractional-order J_nu, and its zeros.
+"""Special-function kernel: fractional-order J_nu and its zeros.
 
 Everything here is self-contained double precision. J_nu is evaluated from
 its ascending power series for moderate arguments and from the standard
@@ -20,21 +20,6 @@ from enum import Enum
 
 from .rootfind import Tolerances, refine_with_derivative
 
-# Godfrey's g = 7, 9-term Lanczos coefficients; relative error of the
-# reconstructed Gamma stays below ~4e-15 on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.9189385332046727
 _MAX_EXPONENT = 709.0  # exp() overflows just past this
 _SERIES_CUTOFF = 1e-16
 _SERIES_MAX_TERMS = 500
@@ -74,18 +59,6 @@ class BesselEval:
     term_count: int
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0, via the Lanczos approximation."""
-    if not (x > 0) or not math.isfinite(x):
-        raise ValueError("ln_gamma requires x > 0")
-    z = x - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i in range(1, 9):
-        series += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)
-
-
 def _series_value(
     nu: float, q: float, beaten_at: float = math.inf
 ) -> tuple[float, int, float] | None:
@@ -99,7 +72,10 @@ def _series_value(
     half = 0.5 * q
     if half == 0.0:  # includes the smallest subnormal q, whose half rounds to 0
         return (1.0 if nu == 0.0 else 0.0), 1, 0.0
-    log_lead = nu * math.log(half) - ln_gamma(nu + 1.0)
+    try:
+        log_lead = nu * math.log(half) - math.lgamma(nu + 1.0)
+    except OverflowError:  # lgamma overflows from nu ~ 2.5e305
+        raise OverflowError("series term exceeds the double-precision range") from None
     if log_lead > _MAX_EXPONENT:
         raise OverflowError("leading series term exceeds the double-precision range")
     term = math.exp(log_lead)

@@ -20,10 +20,7 @@ PUBLIC_NAMES = [
     "coupling_strength_parameter",
     "critical_radius",
     "excited_state",
-    "f_profile",
-    "g_profile",
     "ground_state",
-    "ln_gamma",
     "radial_energy",
     "spectrum_table",
     "total_energy",

@@ -155,7 +155,7 @@ class TestExitStatuses:
     @pytest.mark.parametrize(
         "args",
         [
-            ["bound-states", "--z0", "1e-320"],
+            ["bound-states", "--coupling", "1e-300"],
             ["spectrum", "--radius", "1e-200", "--n-max", "1", "--m-max", "1"],
             ["critical-radius", "--coupling", "1e-300", "--n", "0", "--m", "0"],
         ],
@@ -183,8 +183,19 @@ class TestExitStatuses:
         assert out == ""
         assert err.startswith("error: ") and "double-precision range" in err
 
+    def test_series_overflow_keeps_its_message(self, capsys):
+        # math.lgamma(nu + 1) itself overflows here
+        assert main(["eval-bessel", "--nu", "1e306", "--q", "2e80"]) == 1
+        assert "series term exceeds the double-precision range" in capsys.readouterr().err
+
 
 class TestBoundStatesCommand:
+    def test_wells_closer_than_double_resolution(self, capsys):
+        # z0 * z0 underflows to 0 here; the close-well limit is -M coupling^2 / hbar^2
+        assert main(["bound-states", "--z0", "1e-320", "--output", "json"]) == 0
+        ground = json.loads(capsys.readouterr().out)["ground"]
+        assert ground["energy"] == -1.0 and ground["h_factor"] == 2.0
+
     def test_json_reports_missing_excited_as_null(self):
         proc = run_cli("bound-states", "--z0", "0.9", "--output", "json")
         assert proc.returncode == 0

@@ -15,18 +15,16 @@ from defectcyl import (
     bessel_zero,
     coupling_strength_parameter,
     excited_state,
-    f_profile,
-    g_profile,
     ground_state,
-    ln_gamma,
 )
 
 
 def test_ln_gamma_against_scipy():
-    xs = np.concatenate([np.linspace(0.02, 2, 100), np.linspace(2, 170, 169)])
-    mine = np.array([ln_gamma(float(x)) for x in xs])
-    ref = special.gammaln(xs)
-    assert np.all(np.abs(mine - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    # J_nu(2) is led by 1 / Gamma(nu + 1); scipy's jv(nu, 2) underflows past nu ~ 160
+    nus = np.concatenate([np.linspace(0.02, 2, 100), np.linspace(2, 150, 149)])
+    mine = np.array([bessel_j(float(nu), 2.0).value for nu in nus])
+    ref = special.jv(nus, 2.0)
+    assert np.all(np.abs(mine - ref) <= 1e-12 * np.abs(ref))
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.3, 4.0, 6.0, 8.0])
@@ -70,10 +68,14 @@ def test_well_inversions_against_brentq():
     for z0 in (0.2, 1.0, 2.0, 9.0):
         p = PhysicalParams(mass=0.5, coupling=1.0, half_separation=z0, deficit=1.0, radius=5.0)
         c = coupling_strength_parameter(p)
-        ref = optimize.brentq(lambda t: f_profile(t) - c, c / 2 if c < 1 else c, 2 * c + 1e-12, xtol=1e-13)
+        ref = optimize.brentq(
+            lambda t: t / (1.0 + math.exp(-2.0 * t)) - c, c / 2 if c < 1 else c, 2 * c + 1e-12, xtol=1e-13
+        )
         assert ground_state(p).xi == pytest.approx(ref, abs=1e-10)
         if c > 0.5 + 1e-9:
-            ref = optimize.brentq(lambda t: g_profile(t) - c, max(1e-12, c - 0.5), c, xtol=1e-13)
+            ref = optimize.brentq(
+                lambda t: t / -math.expm1(-2.0 * t) - c, max(1e-12, c - 0.5), c, xtol=1e-13
+            )
             assert excited_state(p).xi == pytest.approx(ref, abs=1e-10)
 
 

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,8 +9,6 @@ from defectcyl import (
     PhysicalParams,
     coupling_strength_parameter,
     excited_state,
-    f_profile,
-    g_profile,
     ground_state,
 )
 
@@ -25,62 +24,110 @@ def make_params(**overrides):
 LOG_GRID = [10.0 ** (-6 + 9 * k / 60) for k in range(61)]  # 1e-6 .. 1e3
 
 
+def f_profile(xi):
+    """Ground-level profile F(xi) = xi / (1 + exp(-2 xi)); F(xi) = c at the root."""
+    return xi / (1.0 + math.exp(-2.0 * xi))
+
+
+def g_profile(xi):
+    """Excited-level profile G(xi) = xi / (1 - exp(-2 xi)); G(xi) = c at the root."""
+    return xi / -math.expm1(-2.0 * xi)
+
+
+def ground_xi(c):
+    return ground_state(make_params(mass=1.0, half_separation=c)).xi  # c = z0
+
+
+def excited_xi(c):
+    return excited_state(make_params(mass=1.0, half_separation=c)).xi
+
+
+def lambert_roots(c):
+    """(ground, excited) roots of xi - c = +-c exp(-2 xi) via mpmath's W0, at 50 digits."""
+    with mpmath.workdps(50):
+        c = mpmath.mpf(c)
+        a = 2 * c * mpmath.exp(-2 * c)
+        return c + mpmath.lambertw(a).real / 2, c + mpmath.lambertw(-a).real / 2
+
+
 class TestProfiles:
+    """The solved roots invert the profiles F and G."""
+
     def test_f_at_zero(self):
-        assert f_profile(0.0) == 0.0
+        # F(xi) ~ xi / 2 as xi -> 0, so the root is 2c once exp(-2c) rounds to 1
+        assert ground_xi(1e-300) == 2e-300
 
     def test_f_large_argument(self):
-        assert f_profile(50.0) == pytest.approx(50.0, rel=1e-15)
+        assert ground_xi(50.0) == 50.0
 
     def test_f_at_one(self):
-        assert f_profile(1.0) == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), rel=1e-15)
-        assert f_profile(1.0) == pytest.approx(0.8807970779778823, rel=1e-14)
+        assert ground_xi(0.8807970779778823) == pytest.approx(1.0, rel=1e-15)
 
     def test_g_at_zero_removable_singularity(self):
-        assert g_profile(0.0) == 0.5
+        # G(0+) = 1/2: the root falls to 0 as c falls to the threshold 1/2
+        assert excited_state(make_params(mass=1.0, half_separation=0.5)) is None
+        assert 0.0 < excited_xi(0.5 + 1e-11) < 3e-11
 
     def test_g_large_argument(self):
-        assert g_profile(50.0) == pytest.approx(50.0, rel=1e-15)
+        assert excited_xi(50.0) == 50.0
 
     def test_g_at_one(self):
-        assert g_profile(1.0) == pytest.approx(1.0 / (1.0 - math.exp(-2.0)), rel=1e-15)
-        assert g_profile(1.0) == pytest.approx(1.1565176427496657, rel=1e-14)
+        assert excited_xi(1.1565176427496657) == pytest.approx(1.0, rel=1e-15)
 
     def test_g_small_argument_expansion(self):
-        for xi in (1e-12, 1e-9, 1e-8):
-            assert g_profile(xi) == pytest.approx(0.5 + 0.5 * xi, rel=1e-12)
+        # G(xi) = 1/2 + xi/2 + O(xi^2), so the root is 2 (c - 1/2) to leading order
+        for c in (0.5 + 1e-11, 0.5 + 1e-9, 0.5 + 1e-8):
+            assert excited_xi(c) == pytest.approx(2.0 * (c - 0.5), rel=1e-4)
 
     def test_g_continuous_across_expansion_switch(self):
-        below = g_profile(1e-8 * (1 - 1e-12))
-        above = g_profile(1e-8 * (1 + 1e-12))
-        assert below == pytest.approx(above, rel=1e-12)
+        # no branch switch near threshold: neighbouring c give neighbouring roots
+        for c in (0.5 + 1e-10, 0.5 + 1e-8, 0.5 + 1e-4):
+            assert abs(excited_xi(math.nextafter(c, 1.0)) - excited_xi(c)) <= 1e-15
 
     def test_f_bounds_on_log_grid(self):
-        for xi in LOG_GRID:
-            value = f_profile(xi)
-            assert xi / 2.0 <= value <= xi
-            if xi <= 17.0:  # above this exp(-2 xi) is below double resolution
-                assert value < xi
+        for c in LOG_GRID:
+            xi = ground_xi(c)
+            assert c <= xi <= 2.0 * c
+            assert abs(f_profile(xi) - c) <= 2.0 * math.ulp(c)
 
     def test_g_bounds_on_log_grid(self):
-        for xi in LOG_GRID:
-            value = g_profile(xi)
-            assert value >= 0.5
-            assert xi <= value <= xi + 0.5
-            if xi <= 17.0:
-                assert value > max(0.5, xi) or xi < 1e-5
-                assert value < xi + 0.5
+        for c in LOG_GRID:
+            if c <= 0.5 + 1e-12:
+                continue
+            xi = excited_xi(c)
+            assert max(0.0, c - 0.5) <= xi <= c
+            assert abs(g_profile(xi) - c) <= 2.0 * math.ulp(c) + 1e-15
 
     def test_profiles_strictly_increasing_on_grid(self):
-        f_vals = [f_profile(x) for x in LOG_GRID]
-        g_vals = [g_profile(x) for x in LOG_GRID]
-        assert all(a < b for a, b in zip(f_vals, f_vals[1:]))
-        assert all(a < b for a, b in zip(g_vals, g_vals[1:]))
+        ground = [ground_xi(c) for c in LOG_GRID]
+        excited = [excited_xi(c) for c in LOG_GRID if c > 0.5 + 1e-12]
+        assert all(a < b for a, b in zip(ground, ground[1:]))
+        assert all(a < b for a, b in zip(excited, excited[1:]))
 
     @given(st.floats(min_value=1e-6, max_value=100.0), st.floats(min_value=1.0001, max_value=2.0))
-    def test_monotone_pairs(self, xi, factor):
-        assert f_profile(xi * factor) > f_profile(xi)
-        assert g_profile(xi * factor) > g_profile(xi)
+    def test_monotone_pairs(self, c, factor):
+        assert ground_xi(c * factor) > ground_xi(c)
+        if c > 0.5 + 1e-12:
+            assert excited_xi(c * factor) > excited_xi(c)
+
+    @given(st.floats(min_value=1e-300, max_value=1e308))
+    def test_roots_lie_in_profile_brackets(self, c):
+        # xi/2 <= F(xi) <= xi and xi <= G(xi) <= xi + 1/2
+        xi = ground_xi(c)
+        assert c <= xi <= 2.0 * c
+        if c > 0.5 + 1e-12:
+            xi = excited_xi(c)
+            assert max(0.0, c - 0.5) <= xi <= c
+
+    def test_roots_against_lambert_w(self):
+        grid = [10.0 ** (-12 + 15 * k / 80) for k in range(81)]  # 1e-12 .. 1e3
+        grid += [0.5 + 10.0 ** (-11 + k) for k in range(10)]  # threshold offsets 1e-11 .. 0.01
+        grid += [0.75, 18.5, 40.0, 2e16, 1e308]
+        for c in grid:
+            ground, excited = lambert_roots(c)
+            assert abs(mpmath.mpf(ground_xi(c)) - ground) <= 2.0 * max(math.ulp(float(ground)), 1e-16), c
+            if c > 0.5 + 1e-12:
+                assert abs(mpmath.mpf(excited_xi(c)) - excited) <= 2.0 * max(math.ulp(float(excited)), 1e-16), c
 
 
 class TestGroundState:
@@ -238,6 +285,15 @@ class TestLevelStructure:
         ea, eb = excited_state(a), excited_state(b)
         assert ea.xi == eb.xi
         assert ea.h_factor == eb.h_factor
+
+    @pytest.mark.parametrize("solve", [ground_state, excited_state])
+    @pytest.mark.parametrize(
+        "fields", [dict(mass=1e10, half_separation=1e300), dict(mass=1e-10, half_separation=1e-320)]
+    )
+    def test_strength_beyond_double_range_raises(self, solve, fields):
+        # c = z0 * mass * coupling / hbar^2 overflows to inf or underflows to 0
+        with pytest.raises(OverflowError, match="double-precision range"):
+            solve(make_params(**fields))
 
     @pytest.mark.parametrize("solve", [ground_state, excited_state])
     def test_energy_beyond_double_range_raises(self, solve):
