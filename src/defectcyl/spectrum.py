@@ -15,7 +15,7 @@ from enum import Enum
 
 from .model import EnergyLevel, PhysicalParams, QuantumNumbers, bessel_order
 from .specfun import ZeroApproxMode, _sharing_zero_walks, bessel_zero
-from .wells import BoundState, excited_state, ground_state
+from .wells import _bound_state, _level_root, _representable, excited_state, ground_state
 
 # Totals within this relative band of the radial energy count as zero when
 # classification is derived from energy signs; exact floating-point zero on
@@ -46,16 +46,9 @@ class SpectrumEntry:
     mode: ZeroApproxMode
 
 
-def level_state(params: PhysicalParams, level: EnergyLevel) -> BoundState:
-    if level is EnergyLevel.GROUND:
-        return ground_state(params)
-    state = excited_state(params)
-    if state is None:
-        raise ValueError(
-            "excited state does not exist for these parameters "
-            "(2*mass*half_separation*coupling <= hbar**2)"
-        )
-    return state
+def _radial(params: PhysicalParams, q: float) -> float:
+    k = params.hbar * q / params.radius  # hbar^2 q^2 / (2 M R^2) without forming R^2
+    return _representable(k * k / (2.0 * params.mass), "radial energy")
 
 
 def radial_energy(
@@ -64,9 +57,7 @@ def radial_energy(
     mode: ZeroApproxMode = ZeroApproxMode.EXACT,
 ) -> float:
     """Radial level hbar^2 q^2 / (2 M R^2) with q the selected J_{n/B} zero."""
-    nu = bessel_order(qn.n, params.deficit)
-    q = bessel_zero(nu, qn.m, mode)
-    return (params.hbar * q) ** 2 / (2.0 * params.mass * params.radius**2)
+    return _radial(params, bessel_zero(bessel_order(qn.n, params.deficit), qn.m, mode))
 
 
 def total_energy(
@@ -76,7 +67,7 @@ def total_energy(
     mode: ZeroApproxMode = ZeroApproxMode.EXACT,
 ) -> float:
     """Radial energy plus the (negative) axial level energy."""
-    state = level_state(params, level)
+    state = _bound_state(params, level, *_level_root(params, level))
     return radial_energy(params, qn, mode) + state.energy
 
 
@@ -87,18 +78,13 @@ def critical_radius(
 ) -> float:
     """Cylinder radius at which the (n, m) total energy vanishes.
 
-    Uses the closed-form zero estimate pi*(n/(2B) + m + 3/4), so the
-    round trip total_energy(radius=critical_radius(...), mode=MCMAHON) = 0
-    holds to rounding error.
+    The radial and level energies cancel where q / R = xi / z0. With the closed-form
+    zero estimate q = pi*(n/(2B) + m + 3/4) the radius is q * z0 / xi, so the round trip
+    total_energy(radius=critical_radius(...), mode=MCMAHON) = 0 holds to rounding error.
     """
-    state = level_state(params, level)
+    xi = _level_root(params, level)[0]
     s = qn.n / (2.0 * params.deficit) + qn.m + 0.75
-    return (
-        math.pi
-        * params.hbar**2
-        * s
-        / (params.mass * params.coupling * math.sqrt(2.0 * state.h_factor))
-    )
+    return _representable(math.pi * s * (params.half_separation / xi), "critical radius")
 
 
 def classify(
@@ -114,7 +100,7 @@ def classify(
     against the reference value, which is what this evaluates (the radius
     itself drops out).
     """
-    level_state(params, level)  # excited reference requires existence
+    _level_root(params, level)  # excited reference requires existence
     return _inequality_classification(params.deficit, reference, qn)
 
 
@@ -147,10 +133,7 @@ def spectrum_table(
     """
     if not isinstance(n_max, int) or n_max < 0 or not isinstance(m_max, int) or m_max < 0:
         raise ValueError("n_max and m_max must be non-negative integers")
-    levels = [ground_state(params)]
-    excited = excited_state(params)
-    if excited is not None:
-        levels.append(excited)
+    levels = [s for s in (ground_state(params), excited_state(params)) if s is not None]
 
     entries: list[SpectrumEntry] = []
     with _sharing_zero_walks():
@@ -158,7 +141,7 @@ def spectrum_table(
             nu = bessel_order(n, params.deficit)
             for m in range(m_max + 1):
                 qn = QuantumNumbers(n, m)
-                radial = radial_energy(params, qn, mode)
+                radial = _radial(params, bessel_zero(nu, m, mode))
                 for state in levels:
                     total = radial + state.energy
                     entries.append(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,70 +53,84 @@ class BoundState:
     h_factor: float
 
 
-def _strength(params: PhysicalParams) -> float:
-    c = coupling_strength_parameter(params)
+def _representable(value: float, quantity: str) -> float:
+    """``value``, if finite and at least the smallest normal double in magnitude."""
+    if not sys.float_info.min <= abs(value) < math.inf:
+        raise OverflowError(f"the {quantity} is outside the double-precision range")
+    return value
+
+
+def _level_xi(c: float, excited: bool) -> Optional[float]:
+    """The level's root xi at well strength c, or None for an excited level below threshold.
+
+    Ground: Newton on phi(xi) = xi - c - c exp(-2 xi) starts at xi = c; phi is
+    increasing and concave with phi(c) < 0, so the iterates rise to the root,
+    which lies in [c, 2c].
+
+    Excited: Newton on phi(xi) = xi + c expm1(-2 xi), whose expm1 form keeps
+    its value free of cancellation near threshold, starts at
+    xi = min(c, 2c - 1); phi is convex and positive there, so the iterates
+    fall to the root, which lies in [c - 1/2, c].
+
+    Raises OverflowError when c, a product of the inputs, is not a positive double.
+    """
     if not 0.0 < c < math.inf:
         raise OverflowError(
             "the well strength z0 * mass * coupling / hbar^2 is outside the double-precision range"
         )
-    return c
-
-
-def _monotone_newton(newton_step: Callable[[float], float], xi: float, direction: int) -> float:
-    """Iterate xi -> xi - newton_step(xi) while it moves in ``direction`` (+1 or -1)."""
-    for _ in range(_MAX_NEWTON_STEPS):
-        after = xi - newton_step(xi)
-        if (after - xi) * direction <= 0.0:
-            return xi
-        xi = after
+    if not excited:
+        xi = c
+        for _ in range(_MAX_NEWTON_STEPS):
+            ce = c * math.exp(-2.0 * xi)
+            after = xi - (xi - c - ce) / (1.0 + 2.0 * ce)
+            if after <= xi:
+                return xi
+            xi = after
+    elif c <= 0.5 + EXISTENCE_GUARD:
+        return None
+    else:
+        xi = min(c, 2.0 * c - 1.0)
+        for _ in range(_MAX_NEWTON_STEPS):
+            ce = c * math.expm1(-2.0 * xi)
+            after = xi - (xi + ce) / (1.0 - 2.0 * (c + ce))
+            if after >= xi:
+                return xi
+            xi = after
     raise RuntimeError("well level iteration did not settle")
 
 
-def _bound_state_from_xi(
-    params: PhysicalParams, level: EnergyLevel, xi: float, c: float
-) -> BoundState:
+def _bound_state(params: PhysicalParams, level: EnergyLevel, xi: float, c: float) -> BoundState:
     h_factor = 0.5 * (xi / c) ** 2
     energy = -h_factor * params.mass * params.coupling * params.coupling / (
         params.hbar * params.hbar
     )
-    if not sys.float_info.min <= abs(energy) < math.inf:
-        raise OverflowError(f"the {level.value} level energy is outside the double-precision range")
+    _representable(energy, f"{level.value} level energy")
     return BoundState(level=level, energy=energy, xi=xi, h_factor=h_factor)
 
 
+def _level_root(params: PhysicalParams, level: EnergyLevel) -> tuple[float, float]:
+    """The level's root xi and well strength c; raises if the level does not exist."""
+    c = coupling_strength_parameter(params)
+    xi = _level_xi(c, level is EnergyLevel.EXCITED)
+    if xi is None:
+        raise ValueError(
+            "excited state does not exist for these parameters "
+            "(2*mass*half_separation*coupling <= hbar**2)"
+        )
+    return xi, c
+
+
 def ground_state(params: PhysicalParams) -> BoundState:
-    """Solve F(xi) = c for the symmetric level; exists for every c > 0.
-
-    Newton on phi(xi) = xi - c - c exp(-2 xi) starts at xi = c: phi is
-    increasing and concave with phi(c) < 0, so the iterates rise to the
-    root, which lies in [c, 2c].
-    """
-    c = _strength(params)
-
-    def newton_step(xi: float) -> float:
-        ce = c * math.exp(-2.0 * xi)
-        return (xi - c - ce) / (1.0 + 2.0 * ce)
-
-    xi = _monotone_newton(newton_step, c, 1)
-    return _bound_state_from_xi(params, EnergyLevel.GROUND, xi, c)
+    """Solve F(xi) = c for the symmetric level; exists for every c > 0."""
+    c = coupling_strength_parameter(params)
+    return _bound_state(params, EnergyLevel.GROUND, _level_xi(c, False), c)
 
 
 def excited_state(params: PhysicalParams) -> Optional[BoundState]:
     """Solve G(xi) = c for the antisymmetric level, or None below threshold.
 
-    Non-existence is a valid outcome, not an error. Above threshold Newton
-    on phi(xi) = xi + c expm1(-2 xi), whose expm1 form keeps its value free
-    of cancellation near threshold, starts at xi = min(c, 2c - 1): phi is
-    convex and positive there, so the iterates fall to the root, which lies
-    in [c - 1/2, c].
+    Non-existence is a valid outcome, not an error.
     """
-    c = _strength(params)
-    if c <= 0.5 + EXISTENCE_GUARD:
-        return None
-
-    def newton_step(xi: float) -> float:
-        ce = c * math.expm1(-2.0 * xi)
-        return (xi + ce) / (1.0 - 2.0 * (c + ce))
-
-    xi = _monotone_newton(newton_step, min(c, 2.0 * c - 1.0), -1)
-    return _bound_state_from_xi(params, EnergyLevel.EXCITED, xi, c)
+    c = coupling_strength_parameter(params)
+    xi = _level_xi(c, True)
+    return None if xi is None else _bound_state(params, EnergyLevel.EXCITED, xi, c)

@@ -157,7 +157,8 @@ class TestExitStatuses:
         [
             ["bound-states", "--coupling", "1e-300"],
             ["spectrum", "--radius", "1e-200", "--n-max", "1", "--m-max", "1"],
-            ["critical-radius", "--coupling", "1e-300", "--n", "0", "--m", "0"],
+            # the radius itself, ~2.4e310, overflows
+            ["critical-radius", "--coupling", "1e-310", "--n", "0", "--m", "0"],
         ],
         ids=lambda a: a[0],
     )
@@ -172,7 +173,8 @@ class TestExitStatuses:
         [
             ["bound-states", "--coupling", "1e160"],
             ["spectrum", "--coupling", "1e160", "--n-max", "0", "--m-max", "0"],
-            ["critical-radius", "--n", "0", "--m", "0", "--level", "ground", "--coupling", "1e300"],
+            # c itself overflows; the level energy is not needed for the radius
+            ["critical-radius", "--n", "0", "--m", "0", "--coupling", "1e300", "--mass", "1e10"],
         ],
         ids=lambda a: a[0],
     )
@@ -182,6 +184,14 @@ class TestExitStatuses:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and "double-precision range" in err
+
+    @pytest.mark.parametrize("radius", ["1e-155", "1e-200"])
+    def test_radial_energy_overflow_is_1(self, capsys, radius):
+        # these once printed inf energies classed "zero", or divided by zero
+        assert main(["spectrum", "--radius", radius, "--n-max", "0", "--m-max", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the radial energy is outside the double-precision range\n"
 
     def test_series_overflow_keeps_its_message(self, capsys):
         # math.lgamma(nu + 1) itself overflows here
@@ -377,6 +387,23 @@ class TestOutputs:
         payload = json.loads(run_cli(*SPECTRUM_ARGS, "--output", "json").stdout)
         assert set(payload) == {"config", "rows"}
         assert payload["config"]["command"] == "spectrum"
+
+    @pytest.mark.parametrize(
+        "coupling, h_factor, radius",
+        [("1e-200", 2.0, 2.356194490192345e200), ("1e300", 0.5, 4.71238898038469e-300)],
+    )
+    def test_critical_radius_needs_no_level_energy(self, capsys, coupling, h_factor, radius):
+        # the level energy under- or overflows here, but R = pi (3/4) z0 / xi does not
+        assert main(["critical-radius", "--n", "0", "--m", "0", "--coupling", coupling]) == 0
+        (row,) = parse_csv(capsys.readouterr().out)
+        assert float(row["h_factor"]) == h_factor
+        assert float(row["critical_radius"]) == pytest.approx(radius, rel=1e-15)
+
+    def test_zero_index_at_high_order(self, capsys):
+        # the walk once bracketed a spurious zero at x = nu here and printed 74.00000000000009
+        assert main(["bessel-zero", "--nu", "74", "--m", "0"]) == 0
+        (row,) = parse_csv(capsys.readouterr().out)
+        assert float(row["zero"]) == pytest.approx(82.03705683987047, abs=1e-9)
 
     def test_critical_radius_roundtrips_through_spectrum(self):
         crit = parse_csv(

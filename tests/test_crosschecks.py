@@ -46,6 +46,14 @@ def test_deep_zero_against_scipy():
     assert bessel_zero(0.0, 30) == pytest.approx(special.jn_zeros(0, 31)[-1], abs=1e-9)
 
 
+def test_high_order_zeros_against_scipy():
+    # from about nu = 74 the series once gave J_nu(nu) the wrong sign and shifted every index
+    for n in range(30, 501, 10):
+        ref = special.jn_zeros(n, 11)
+        for m in (0, 1, 3, 10):
+            assert bessel_zero(float(n), m) == pytest.approx(ref[m], abs=1e-10)
+
+
 def test_fractional_order_zeros_against_brentq():
     for nu in (0.5, 1.5, 2.7, 5.25, 12.7, 18.3, 24.6, 27.8, 30.0):
         for m in range(5):
