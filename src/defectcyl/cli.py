@@ -22,7 +22,7 @@ from typing import Any, Optional
 from .model import EnergyLevel, PhysicalParams, QuantumNumbers
 from .specfun import ZeroApproxMode, bessel_j, bessel_zero, zero_approx_table
 from .spectrum import classify, critical_radius, spectrum_table
-from .wells import _level_root, excited_state, ground_state
+from .wells import _h_factor, _level_root, excited_state, ground_state
 
 
 class OutputFormat(Enum):
@@ -98,12 +98,11 @@ def _eval_bessel(config: RunConfig):
 
 def _critical_radius(config: RunConfig):
     qn = QuantumNumbers(config.n, config.m)
-    xi, c = _level_root(config.params, config.level)
     row = {
         "n": qn.n,
         "m": qn.m,
         "level": config.level.value,
-        "h_factor": 0.5 * (xi / c) ** 2,  # as BoundState.h_factor, without its energy
+        "h_factor": _h_factor(*_level_root(config.params, config.level)),
         "critical_radius": critical_radius(config.params, qn, config.level),
     }
     return list(row), [row], None

@@ -218,15 +218,10 @@ class _ZeroWalk:
     """
 
     def __init__(self, nu: float) -> None:
-        x = max(nu, 1e-3)
-        # J_nu > 0 on (0, nu] (DLMF 10.21(i)), where the series can lose the sign above
-        # order 12; the first zero lies more than a step above nu, so no polish reads J(nu).
-        fx = 1.0 if nu > 12.0 else _j(nu, x)
-        if fx == 0.0:  # essentially unreachable; nudge off the exact zero
-            x *= 1.0 + 1e-9
-            fx = _j(nu, x)
+        # J_nu > 0 below its first zero (DLMF 10.21(i)), which lies at least ~2.4, more
+        # than a step, above the start; so only the start's sign is ever read.
         self.nu = nu
-        self.point = (x, fx)
+        self.point = (max(nu, 1e-3), 1.0)
         self.brackets: list[tuple[float, float, float, float]] = []  # (lo, hi, J(lo), J(hi))
         self.roots: dict[int, float] = {}
 

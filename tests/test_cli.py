@@ -169,29 +169,37 @@ class TestExitStatuses:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
-        "args",
+        "args, quantity",
         [
-            ["bound-states", "--coupling", "1e160"],
-            ["spectrum", "--coupling", "1e160", "--n-max", "0", "--m-max", "0"],
+            pytest.param(["bound-states", "--coupling", "1e160"], "ground level energy", id="bound-states"),
+            pytest.param(
+                ["spectrum", "--coupling", "1e160", "--n-max", "0", "--m-max", "0"],
+                "ground level energy",
+                id="spectrum",
+            ),
             # c itself overflows; the level energy is not needed for the radius
-            ["critical-radius", "--n", "0", "--m", "0", "--coupling", "1e300", "--mass", "1e10"],
+            pytest.param(
+                ["critical-radius", "--n", "0", "--m", "0", "--coupling", "1e300", "--mass", "1e10"],
+                "well strength z0 * mass * coupling / hbar^2",
+                id="critical-radius",
+            ),
+            # these two once printed inf energies classed "zero", or divided by zero
+            *(
+                pytest.param(
+                    ["spectrum", "--radius", radius, "--n-max", "0", "--m-max", "0"],
+                    "radial energy",
+                    id=f"spectrum-radius-{radius}",
+                )
+                for radius in ("1e-155", "1e-200")
+            ),
         ],
-        ids=lambda a: a[0],
     )
-    def test_level_energy_overflow_is_1(self, capsys, args):
+    def test_level_energy_overflow_is_1(self, capsys, args, quantity):
         # these once printed -inf or nan with exit 0
         assert main(args) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: ") and "double-precision range" in err
-
-    @pytest.mark.parametrize("radius", ["1e-155", "1e-200"])
-    def test_radial_energy_overflow_is_1(self, capsys, radius):
-        # these once printed inf energies classed "zero", or divided by zero
-        assert main(["spectrum", "--radius", radius, "--n-max", "0", "--m-max", "0"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: the radial energy is outside the double-precision range\n"
+        assert err == f"error: the {quantity} is outside the double-precision range\n"
 
     def test_series_overflow_keeps_its_message(self, capsys):
         # math.lgamma(nu + 1) itself overflows here
